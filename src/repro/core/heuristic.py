@@ -424,11 +424,15 @@ def _windowed_cost(
     compare differently under truncation than they would under the exact
     bound.  The optimal search therefore never uses a window; the
     practical mapper accepts the quality loss for scalability.  Cap
-    events are counted in the ``heuristic.window_truncated`` metric so a
-    run can tell how often its lookahead was clipped.
+    events are counted in the ``heuristic.window_truncated`` metric (once
+    per evaluation) so a run can tell how often its lookahead was clipped.
+
+    The truncated gate list depends only on ``(window, ptr)`` and comes
+    from the per-problem :meth:`~repro.core.problem.MappingProblem
+    .window_rows` cache; the compiled backend runs the same scan in C
+    over the same rows.
     """
     gate_qubits = problem.gate_qubits
-    gate_latency = problem.gate_latency
     dist_flat = problem.dist_flat
     num_physical = problem.num_physical
     swap_len = problem.swap_len
@@ -462,55 +466,45 @@ def _windowed_cost(
     else:
         pos_after = node.pos
 
-    ptr = node.ptr
-    seq = problem.seq
-    selected = set()
-    for logical in range(num_logical):
-        selected.update(seq[logical][ptr[logical]: ptr[logical] + window])
-    pending = sorted(selected)
-    if len(pending) > 4 * window:
-        pending = pending[: 4 * window]
-        if metrics is not None:
-            metrics.counter("heuristic.window_truncated").inc()
-
+    rows, truncated = problem.window_rows(window, node.ptr)
     if metrics is not None:
+        if truncated:
+            metrics.counter("heuristic.window_truncated").inc()
         metrics.counter("heuristic.calls").inc()
-        metrics.histogram("heuristic.pending_gates").observe(len(pending))
+        metrics.histogram("heuristic.pending_gates").observe(len(rows))
 
     split_lut = problem.split_lut
-    for gate in pending:
-        qubits = gate_qubits[gate]
-        length = gate_latency[gate]
-        if len(qubits) == 1:
-            (l1,) = qubits
+    for l1, l2, length in rows:
+        if l2 < 0:
             end = head[l1] + length
             head[l1] = end
             load[l1] += length
         else:
-            l1, l2 = qubits
-            u = head[l1] if head[l1] >= head[l2] else head[l2]
-            p1, p2 = pos_after[l1], pos_after[l2]
+            h1 = head[l1]
+            h2 = head[l2]
+            u = h1 if h1 >= h2 else h2
+            p1 = pos_after[l1]
+            p2 = pos_after[l2]
+            # Unplaced qubits / uninformed mode: optimistic distance 1.
             if swap_aware and p1 >= 0 and p2 >= 0:
                 d = dist_flat[p1 * num_physical + p2]
-            else:
-                d = 1  # unplaced qubits / uninformed mode: optimistic
-            if d > 1:
-                s1 = u - load[l1]
-                s2 = u - load[l2]
-                if d == 2 and swap_len > 0:
-                    best = swap_len - (s1 if s1 >= s2 else s2)
-                    if best < 0:
-                        best = 0
-                elif s1 < _SPLIT_KEY_BOUND and s2 < _SPLIT_KEY_BOUND:
-                    lut_key = (d << 28) | (s1 << 14) | s2
-                    best = split_lut.get(lut_key)
-                    if best is None:
+                if d > 1:
+                    s1 = u - load[l1]
+                    s2 = u - load[l2]
+                    if d == 2 and swap_len > 0:
+                        best = swap_len - (s1 if s1 >= s2 else s2)
+                        if best < 0:
+                            best = 0
+                    elif s1 < _SPLIT_KEY_BOUND and s2 < _SPLIT_KEY_BOUND:
+                        lut_key = (d << 28) | (s1 << 14) | s2
+                        best = split_lut.get(lut_key)
+                        if best is None:
+                            best = _swap_split_delay(d, s1, s2, swap_len)
+                            if len(split_lut) < _SPLIT_LUT_MAX:
+                                split_lut[lut_key] = best
+                    else:
                         best = _swap_split_delay(d, s1, s2, swap_len)
-                        if len(split_lut) < _SPLIT_LUT_MAX:
-                            split_lut[lut_key] = best
-                else:
-                    best = _swap_split_delay(d, s1, s2, swap_len)
-                u += best
+                    u += best
             end = u + length
             head[l1] = end
             head[l2] = end

@@ -134,9 +134,9 @@ class HeuristicMapper:
         telemetry: Optional observability context; ``None`` runs the
             uninstrumented fast path.
         kernel: Kernel backend name (``pure``/``vector``/``compiled``) or
-            ``None`` for the auto-probe; windowed evaluation always runs
-            the pure scorer, but the seam and the recorded
-            ``kernel_backend`` stat stay uniform with the exact search.
+            ``None`` for the auto-probe.  Children are scored through the
+            backend's windowed scan (C under ``compiled``, the python
+            scan under ``pure``/``vector``), bit-identical either way.
     """
 
     #: Stats label this mapper writes into ``MappingResult.stats``.
@@ -471,7 +471,7 @@ class HeuristicMapper:
         Mutates ``node.pos`` / ``node.inv`` in place (placement is a
         deterministic normalization, not a search decision).
         """
-        if all(p >= 0 for p in node.pos):
+        if -1 not in node.pos:  # unplaced is always -1 (``_make_root``)
             return
         pos = list(node.pos)
         inv = list(node.inv)

@@ -1,7 +1,7 @@
 /* Compiled hot kernels of the TOQM search (the ``compiled`` backend).
  *
- * Three operations dominate exact-search node cost once the surrounding
- * machinery is amortized (see DESIGN.md §Kernel backends):
+ * The operations that dominate node cost once the surrounding machinery
+ * is amortized (see DESIGN.md §Kernel backends):
  *
  *   heuristic()   -- the full (non-windowed) owner-run scan of
  *                    heuristic_cost(), operating on a packed problem
@@ -9,6 +9,11 @@
  *                    buffer.  The SWAP-split LUT is replaced by direct
  *                    closed-form evaluation -- identical values by
  *                    construction, no table needed at C speed.
+ *   windowed()    -- the practical mapper's truncated scan
+ *                    (heuristic._windowed_cost) over the per-(window,
+ *                    ptr) rows of problem.window_rows().  It shares the
+ *                    in-flight seeding (scan_begin) and the SWAP-split
+ *                    step (pair_finish) with heuristic().
  *   profile()     -- the state filter's per-physical-qubit release
  *                    profile (qfree tuple + in-flight gate finish dict).
  *   admit_scan()  -- the whole bucket scan of StateFilter.admit():
@@ -16,6 +21,7 @@
  *                    compaction.  Entries are instances of the C
  *                    ``Entry`` type below so field access inside the
  *                    scan is a struct load, not a dict/slot lookup.
+ *   expand()      -- the optimal-mode node expansion.
  *
  * Semantics contract: every function must be bit-identical to the pure
  * python code it shadows (tests/test_kernels.py enforces this through
@@ -275,55 +281,69 @@ split_delay(int64_t d, int64_t s1, int64_t s2, int64_t L)
     return best;
 }
 
-static PyObject *
-heuristic(PyObject *self, PyObject *args)
-{
-    PyObject *capsule, *rows_obj, *inflight, *pos_after, *inv;
-    long long time;
-    int swap_aware;
-    if (!PyArg_ParseTuple(
-            args, "OO!LO!O!O!p",
-            &capsule,
-            &PyBytes_Type, &rows_obj,
-            &time,
-            &PyTuple_Type, &inflight,
-            &PyTuple_Type, &pos_after,
-            &PyTuple_Type, &inv,
-            &swap_aware))
-        return NULL;
-    PackedProblem *pp = PyCapsule_GetPointer(capsule, "repro.packed_problem");
-    if (pp == NULL)
-        return NULL;
+/* Per-evaluation state shared by the full and the windowed scan: the
+ * head/load recurrences seeded from the in-flight operations, and the
+ * positions after in-flight SWAPs.  One buffer holds every array: on
+ * the stack up to STACK_QUBITS logical and physical qubits, on the heap
+ * above. */
+typedef struct {
+    int64_t stack_buf[STACK_QUBITS * 5];
+    int64_t *buf;
+    int64_t *head;      /* L: finish lower bound of the chain's latest element */
+    int64_t *load;      /* L: total remaining predecessor cycles (T) */
+    int64_t *chain_i;   /* L: singles-fold chain indices (full scan only) */
+    int64_t *pos;       /* L: positions after in-flight SWAPs */
+    int64_t *inv_after; /* P: in-flight SWAP replay scratch */
+    int64_t h;          /* max remaining in-flight time */
+} ScanState;
 
+static void
+scan_end(ScanState *st)
+{
+    if (st->buf != st->stack_buf)
+        free(st->buf);
+}
+
+/* Seed ``st`` from a node: in-flight SWAPs and gates start their
+ * operands' chains at the remaining time, and ``pos_after`` (the
+ * caller's mapping_after_swaps() positions) is unpacked.  On failure
+ * sets the exception and returns -1; scan_end() is due either way. */
+static inline int
+scan_begin(ScanState *st, const PackedProblem *pp, int64_t time,
+           PyObject *inflight, PyObject *pos_after, PyObject *inv)
+{
     int64_t L = pp->num_logical;
     int64_t P = pp->num_physical;
-    int64_t stack_buf[STACK_QUBITS * 4];
-    int64_t *buf = stack_buf;
+    st->buf = st->stack_buf;
     if (L > STACK_QUBITS || P > STACK_QUBITS) {
-        buf = malloc(sizeof(int64_t) * (size_t)(L * 3 + P));
-        if (buf == NULL)
-            return PyErr_NoMemory();
+        st->buf = malloc(sizeof(int64_t) * (size_t)(L * 4 + P));
+        if (st->buf == NULL) {
+            st->buf = st->stack_buf;
+            PyErr_NoMemory();
+            return -1;
+        }
     }
-    int64_t *head = buf;
-    int64_t *load = buf + L;
-    int64_t *chain_i = buf + 2 * L;
-    int64_t *inv_after = buf + 3 * L;
-    memset(head, 0, sizeof(int64_t) * (size_t)(2 * L));
-    int64_t pos_stack[STACK_QUBITS];
-    int64_t *pos_heap = NULL;
-    int64_t *pos;
+    st->head = st->buf;
+    st->load = st->buf + L;
+    st->chain_i = st->buf + 2 * L;
+    st->pos = st->buf + 3 * L;
+    st->inv_after = st->buf + 4 * L;
+    st->h = 0;
+    memset(st->head, 0, sizeof(int64_t) * (size_t)(2 * L));
+    if (PyTuple_GET_SIZE(pos_after) != L || PyTuple_GET_SIZE(inv) != P) {
+        PyErr_SetString(PyExc_ValueError, "pos/inv length mismatch");
+        return -1;
+    }
 
-    int64_t h = 0;
-    int err = 0;
-
+    int64_t *head = st->head;
+    int64_t *load = st->load;
+    int64_t *inv_after = st->inv_after;
     Py_ssize_t n_inflight = PyTuple_GET_SIZE(inflight);
     if (n_inflight) {
         for (int64_t p = 0; p < P; p++) {
             int64_t v = PyLong_AsLongLong(PyTuple_GET_ITEM(inv, p));
-            if (v == -1 && PyErr_Occurred()) {
-                err = 1;
-                goto done;
-            }
+            if (v == -1 && PyErr_Occurred())
+                return -1;
             inv_after[p] = v;
         }
         for (Py_ssize_t i = 0; i < n_inflight; i++) {
@@ -332,13 +352,11 @@ heuristic(PyObject *self, PyObject *args)
             int64_t kind = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 1));
             int64_t a = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 2));
             int64_t b = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 3));
-            if (PyErr_Occurred()) {
-                err = 1;
-                goto done;
-            }
+            if (PyErr_Occurred())
+                return -1;
             int64_t remaining = finish - time;
-            if (remaining > h)
-                h = remaining;
+            if (remaining > st->h)
+                st->h = remaining;
             if (kind == 1) { /* K_SWAP */
                 int64_t l1 = inv_after[a];
                 int64_t l2 = inv_after[b];
@@ -367,25 +385,90 @@ heuristic(PyObject *self, PyObject *args)
 
     /* Positions after in-flight SWAPs (precomputed by the caller: the
      * node caches mapping_after_swaps() for the filter key anyway). */
-    if (L <= STACK_QUBITS) {
-        pos = pos_stack;
-    } else {
-        pos_heap = malloc(sizeof(int64_t) * (size_t)L);
-        if (pos_heap == NULL) {
-            PyErr_NoMemory();
-            err = 1;
-            goto done;
-        }
-        pos = pos_heap;
-    }
     for (int64_t l = 0; l < L; l++) {
         int64_t v = PyLong_AsLongLong(PyTuple_GET_ITEM(pos_after, l));
-        if (v == -1 && PyErr_Occurred()) {
-            err = 1;
-            goto done;
-        }
-        pos[l] = v;
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        st->pos[l] = v;
     }
+    return 0;
+}
+
+/* Finish bound of one two-qubit row: no earlier than both operands'
+ * heads, plus the SWAP-split delay when both operands are placed at
+ * distance > 1 (unplaced operands and swap_aware=0 see distance 1). */
+static inline int64_t
+pair_finish(int64_t *head, int64_t *load, const int64_t *pos,
+            const int64_t *dist, int64_t P, int64_t swap_len, int swap_aware,
+            int64_t l1, int64_t l2, int64_t length)
+{
+    int64_t h1 = head[l1];
+    int64_t h2 = head[l2];
+    int64_t u = h1 >= h2 ? h1 : h2;
+    if (swap_aware) {
+        int64_t p1 = pos[l1];
+        int64_t p2 = pos[l2];
+        if (p1 >= 0 && p2 >= 0) {
+            int64_t d = dist[p1 * P + p2];
+            if (d > 1)
+                u += split_delay(d, u - load[l1], u - load[l2], swap_len);
+        }
+    }
+    int64_t end = u + length;
+    head[l1] = end;
+    head[l2] = end;
+    load[l1] += length;
+    load[l2] += length;
+    return end;
+}
+
+/* Parse the (packed, rows, time, inflight, pos_after, inv, swap_aware)
+ * arguments both scans take; returns the packed problem or NULL. */
+static const PackedProblem *
+scan_args(PyObject *args, PyObject **rows_obj, int64_t *time,
+          PyObject **inflight, PyObject **pos_after, PyObject **inv,
+          int *swap_aware)
+{
+    PyObject *capsule;
+    long long t;
+    if (!PyArg_ParseTuple(
+            args, "OO!LO!O!O!p",
+            &capsule,
+            &PyBytes_Type, rows_obj,
+            &t,
+            &PyTuple_Type, inflight,
+            &PyTuple_Type, pos_after,
+            &PyTuple_Type, inv,
+            swap_aware))
+        return NULL;
+    *time = t;
+    return PyCapsule_GetPointer(capsule, "repro.packed_problem");
+}
+
+/* heuristic_cost() with window=None: the owner-run scan over the
+ * per-ptr rows of problem.pending_rows(). */
+static PyObject *
+heuristic(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj, *inflight, *pos_after, *inv;
+    int64_t time;
+    int swap_aware;
+    const PackedProblem *pp = scan_args(args, &rows_obj, &time, &inflight,
+                                        &pos_after, &inv, &swap_aware);
+    if (pp == NULL)
+        return NULL;
+
+    int64_t L = pp->num_logical;
+    ScanState st;
+    if (scan_begin(&st, pp, time, inflight, pos_after, inv) < 0) {
+        scan_end(&st);
+        return NULL;
+    }
+    int64_t *head = st.head;
+    int64_t *load = st.load;
+    int64_t *chain_i = st.chain_i;
+    const int64_t *pos = st.pos;
+    int64_t h = st.h;
 
     /* The rows buffer is ``n_rows`` packed gate_row records (5 int64s
      * each) followed by the node's ptr (L int64s) -- the tail seeds the
@@ -398,14 +481,14 @@ heuristic(PyObject *self, PyObject *args)
     Py_ssize_t n_rows = (total_i64 - L) / 5;
     if (n_rows < 0 || n_rows * 5 + L != total_i64) {
         PyErr_SetString(PyExc_ValueError, "malformed rows buffer");
-        err = 1;
-        goto done;
+        scan_end(&st);
+        return NULL;
     }
     const int64_t *dist = pp->dist_flat;
+    int64_t P = pp->num_physical;
     int64_t swap_len = pp->swap_len;
-    int has_singles = (int)pp->has_singles;
 
-    if (has_singles) {
+    if (pp->has_singles) {
         const int64_t *ptr_tail = rows + n_rows * 5;
         for (int64_t l = 0; l < L; l++)
             chain_i[l] = ptr_tail[l];
@@ -436,24 +519,8 @@ heuristic(PyObject *self, PyObject *args)
             }
             chain_i[l2] = p2c + 1;
 
-            int64_t h1 = head[l1];
-            int64_t h2 = head[l2];
-            int64_t u = h1 >= h2 ? h1 : h2;
-            if (swap_aware) {
-                int64_t p1 = pos[l1];
-                int64_t p2 = pos[l2];
-                if (p1 >= 0 && p2 >= 0) {
-                    int64_t d = dist[p1 * P + p2];
-                    if (d > 1)
-                        u += split_delay(d, u - load[l1], u - load[l2],
-                                         swap_len);
-                }
-            }
-            int64_t end = u + length;
-            head[l1] = end;
-            head[l2] = end;
-            load[l1] += length;
-            load[l2] += length;
+            int64_t end = pair_finish(head, load, pos, dist, P, swap_len,
+                                      swap_aware, l1, l2, length);
             if (end > h)
                 h = end;
         }
@@ -468,38 +535,71 @@ heuristic(PyObject *self, PyObject *args)
         }
     } else {
         for (Py_ssize_t i = 0; i < n_rows; i++) {
-            int64_t l1 = rows[i * 5];
-            int64_t l2 = rows[i * 5 + 1];
-            int64_t length = rows[i * 5 + 2];
-            int64_t h1 = head[l1];
-            int64_t h2 = head[l2];
-            int64_t u = h1 >= h2 ? h1 : h2;
-            if (swap_aware) {
-                int64_t p1 = pos[l1];
-                int64_t p2 = pos[l2];
-                if (p1 >= 0 && p2 >= 0) {
-                    int64_t d = dist[p1 * P + p2];
-                    if (d > 1)
-                        u += split_delay(d, u - load[l1], u - load[l2],
-                                         swap_len);
-                }
-            }
-            int64_t end = u + length;
-            head[l1] = end;
-            head[l2] = end;
-            load[l1] += length;
-            load[l2] += length;
+            int64_t end = pair_finish(head, load, pos, dist, P, swap_len,
+                                      swap_aware, rows[i * 5],
+                                      rows[i * 5 + 1], rows[i * 5 + 2]);
             if (end > h)
                 h = end;
         }
     }
 
-done:
-    if (buf != stack_buf)
-        free(buf);
-    free(pos_heap);
-    if (err)
+    scan_end(&st);
+    return PyLong_FromLongLong(h);
+}
+
+/* heuristic._windowed_cost(): the scan over problem.window_rows(window,
+ * ptr), packed as (l1, l2, latency) int64 triples in program order with
+ * l2 == -1 for single-qubit gates.  Singles are scanned row by row here
+ * (the window has no owner-run folding); no trailing-singles pass, since
+ * the window already dropped everything past it. */
+static PyObject *
+windowed(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj, *inflight, *pos_after, *inv;
+    int64_t time;
+    int swap_aware;
+    const PackedProblem *pp = scan_args(args, &rows_obj, &time, &inflight,
+                                        &pos_after, &inv, &swap_aware);
+    if (pp == NULL)
         return NULL;
+
+    ScanState st;
+    if (scan_begin(&st, pp, time, inflight, pos_after, inv) < 0) {
+        scan_end(&st);
+        return NULL;
+    }
+    const int64_t *rows = (const int64_t *)PyBytes_AS_STRING(rows_obj);
+    Py_ssize_t total_i64 =
+        PyBytes_GET_SIZE(rows_obj) / (Py_ssize_t)sizeof(int64_t);
+    if (total_i64 % 3 != 0) {
+        PyErr_SetString(PyExc_ValueError, "malformed window rows buffer");
+        scan_end(&st);
+        return NULL;
+    }
+    int64_t *head = st.head;
+    int64_t *load = st.load;
+    const int64_t *pos = st.pos;
+    const int64_t *dist = pp->dist_flat;
+    int64_t P = pp->num_physical;
+    int64_t swap_len = pp->swap_len;
+    int64_t h = st.h;
+    for (Py_ssize_t i = 0; i < total_i64; i += 3) {
+        int64_t l1 = rows[i];
+        int64_t l2 = rows[i + 1];
+        int64_t length = rows[i + 2];
+        int64_t end;
+        if (l2 < 0) {
+            end = head[l1] + length;
+            head[l1] = end;
+            load[l1] += length;
+        } else {
+            end = pair_finish(head, load, pos, dist, P, swap_len, swap_aware,
+                              l1, l2, length);
+        }
+        if (end > h)
+            h = end;
+    }
+    scan_end(&st);
     return PyLong_FromLongLong(h);
 }
 
@@ -1832,6 +1932,8 @@ static PyMethodDef module_methods[] = {
      "Pack problem arrays into a capsule for the compiled kernels."},
     {"heuristic", heuristic, METH_VARARGS,
      "Full (non-windowed) heuristic_cost over a packed problem."},
+    {"windowed", windowed, METH_VARARGS,
+     "Windowed heuristic_cost over packed window rows."},
     {"profile", profile, METH_VARARGS,
      "State-filter release profile: (qfree tuple, gate_finish dict)."},
     {"dominates", dominates, METH_VARARGS,

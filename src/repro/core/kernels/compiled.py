@@ -8,9 +8,9 @@ the registry turns into "backend unavailable".
 The problem is packed once per instance (flat int64 arrays behind a
 capsule, cached on the problem object), and the pending-gate rows per
 ``ptr`` are packed into a reusable bytes buffer mirroring the
-``problem.pending_rows`` cache.  Windowed evaluation stays on the pure
-path — the practical mapper's truncated lookahead is not worth a C
-variant (set building dominates it).
+``problem.pending_rows`` cache.  Windowed evaluation (the practical
+mapper) runs the C ``windowed`` scan the same way, over the
+``problem.window_rows`` rows packed once per ``(window, ptr)``.
 """
 
 from __future__ import annotations
@@ -80,6 +80,26 @@ class CompiledBackend(KernelBackend):
                 problem.note_cache_overflow("ck_rows")
         return buf
 
+    def _window_rows(
+        self, problem: MappingProblem, window: int, ptr
+    ) -> bytes:
+        cache = getattr(problem, "_ck_window_rows", None)
+        if cache is None:
+            cache = {}
+            problem._ck_window_rows = cache
+        key = (window, ptr)
+        buf = cache.get(key)
+        if buf is None:
+            flat = array("q")
+            for row in problem.window_rows(window, ptr)[0]:
+                flat.extend(row)
+            buf = flat.tobytes()
+            if len(cache) < PROBLEM_CACHE_CAP:
+                cache[key] = buf
+            else:
+                problem.note_cache_overflow("ck_window_rows")
+        return buf
+
     def _eval_nodes(
         self,
         problem: MappingProblem,
@@ -87,11 +107,16 @@ class CompiledBackend(KernelBackend):
         window: Optional[int],
         swap_aware: bool,
     ) -> List[int]:
-        if window is not None:
-            return super()._eval_nodes(problem, nodes, window, swap_aware)
         packed = self._packed(problem)
-        heuristic = self._ck.heuristic
-        rows = self._rows
+        if window is None:
+            scan = self._ck.heuristic
+            rows = self._rows
+        else:
+            scan = self._ck.windowed
+
+            def rows(problem, ptr):
+                return self._window_rows(problem, window, ptr)
+
         out: List[int] = []
         for node in nodes:
             if node.inflight:
@@ -99,7 +124,7 @@ class CompiledBackend(KernelBackend):
             else:
                 pos_after = node.pos
             out.append(
-                heuristic(
+                scan(
                     packed,
                     rows(problem, node.ptr),
                     node.time,

@@ -10,8 +10,8 @@ like python's).
 
 Batching only pays when the fan-out amortizes array setup: batches (or
 ptr groups) smaller than the thresholds below fall back to the pure
-per-node path, as do windowed evaluations (the practical mapper's
-truncated lookahead is set-building-bound, not arithmetic-bound).
+per-node path, as do windowed evaluations (the practical mapper scores
+at most ``4 * window`` cached rows per node, too few to amortize arrays).
 """
 
 from __future__ import annotations

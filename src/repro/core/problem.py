@@ -15,9 +15,10 @@ from ..circuit.circuit import Circuit
 from ..circuit.latency import LatencyModel, uniform_latency
 
 #: Cap on the per-problem memo dictionaries (``_pending_rows``,
-#: ``_active_masks``, and the compiled kernel's row cache).  A safety
-#: valve for enormous runs: past the cap the caches stop admitting new
-#: entries and count the overflow instead of growing without bound.
+#: ``_window_rows``, ``_active_masks``, and the compiled kernel's row
+#: caches).  A safety valve for enormous runs: past the cap the caches
+#: stop admitting new entries and count the overflow instead of growing
+#: without bound.
 PROBLEM_CACHE_CAP = 32768
 
 
@@ -163,6 +164,10 @@ class MappingProblem:
         #: only on the pointer vector, which far fewer distinct values
         #: take than there are generated nodes.
         self._pending_rows: Dict[Tuple[int, ...], Tuple] = {}
+        #: ``(window, ptr) -> (rows, truncated)`` cache for the windowed
+        #: heuristic (see :meth:`window_rows`); capped like
+        #: ``_pending_rows``.
+        self._window_rows: Dict[Tuple[int, Tuple[int, ...]], Tuple] = {}
         #: ``(pos, ptr) -> active-position bitmask`` cache for the
         #: expander's SWAP-candidate restriction (see
         #: :meth:`active_swap_mask`); capped like ``_pending_rows``.
@@ -268,6 +273,46 @@ class MappingProblem:
             else:
                 self.note_cache_overflow("pending_rows")
         return rows
+
+    def window_rows(
+        self, window: int, ptr: Tuple[int, ...]
+    ) -> Tuple[Tuple[Tuple[int, int, int], ...], bool]:
+        """Look-ahead rows of the windowed heuristic under ``ptr``.
+
+        The first ``window`` unstarted gates of every qubit chain, merged
+        in program order and capped at ``4 * window`` gates (the earliest
+        ones survive), as ``(l1, l2, latency)`` rows with ``l2 == -1`` for
+        single-qubit gates.  Returns ``(rows, truncated)``; ``truncated``
+        is True when the cap dropped gates.  Cached per ``(window, ptr)``
+        like :meth:`pending_rows`, with the same cap and overflow count.
+        """
+        key = (window, ptr)
+        cache = self._window_rows
+        entry = cache.get(key)
+        if entry is None:
+            seq = self.seq
+            selected = set()
+            for logical in range(self.num_logical):
+                start = ptr[logical]
+                selected.update(seq[logical][start: start + window])
+            pending = sorted(selected)
+            truncated = len(pending) > 4 * window
+            if truncated:
+                pending = pending[: 4 * window]
+            gate_l1 = self.gate_l1
+            gate_l2 = self.gate_l2
+            gate_latency = self.gate_latency
+            entry = (
+                tuple(
+                    (gate_l1[g], gate_l2[g], gate_latency[g]) for g in pending
+                ),
+                truncated,
+            )
+            if len(cache) < PROBLEM_CACHE_CAP:
+                cache[key] = entry
+            else:
+                self.note_cache_overflow("window_rows")
+        return entry
 
     def active_swap_mask(
         self, pos: Tuple[int, ...], ptr: Tuple[int, ...]

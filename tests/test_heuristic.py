@@ -416,3 +416,24 @@ class TestWindowTruncationMetric:
         assert metrics.counter("heuristic.window_truncated").value == 1
         # Still a valid lower bound relative to the untruncated value.
         assert 0 < h <= heuristic_cost(problem, node)
+        # The window rows are cached per (window, ptr); the count is
+        # per evaluation all the same.
+        assert heuristic_cost(problem, node, window=1, metrics=metrics) == h
+        assert metrics.counter("heuristic.window_truncated").value == 2
+
+    def test_instrumented_run_count_pinned(self):
+        # The totals the uncached scorer gives on this run: caching the
+        # window rows must not change how often truncation is counted.
+        from repro.arch.library import by_name
+        from repro.benchcircuits import large_circuit
+        from repro.circuit.latency import TABLE1_LATENCY
+        from repro.core import HeuristicMapper
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        HeuristicMapper(
+            by_name("tokyo"), TABLE1_LATENCY, telemetry=telemetry
+        ).map(large_circuit("cm82a_208", scale_gate_cap=80))
+        metrics = telemetry.metrics
+        assert metrics.counter("heuristic.window_truncated").value == 2615
+        assert metrics.counter("heuristic.calls").value == 7291

@@ -13,9 +13,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.arch import grid, lnn
+from repro.arch.library import by_name
+from repro.benchcircuits import large_circuit
 from repro.circuit import Circuit, uniform_latency
+from repro.circuit.latency import TABLE1_LATENCY
 from repro.core import HeuristicMapper, OptimalMapper
-from repro.core.heuristic import HeuristicMemo, heuristic_cost
+from repro.core.heuristic import (
+    HeuristicMemo,
+    _heuristic_cost_reference,
+    heuristic_cost,
+)
 from repro.core.kernels import (
     BACKEND_NAMES,
     available_backends,
@@ -24,6 +31,7 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.api import KernelBackend
 from repro.core.problem import MappingProblem
+from repro.core.state import K_SWAP
 from repro.obs.schema import STAT_KERNEL_BACKEND
 
 from .test_heuristic import make_node
@@ -188,6 +196,22 @@ class TestSearchParity:
         reference = signatures["pure"]
         assert all(sig == reference for sig in signatures.values()), signatures
 
+    def test_table3_heuristic_run_identical(self):
+        # One whole section 6.2 run on Tokyo: the windowed scorer of
+        # every backend must walk the same tree, queue trims included.
+        circuit = large_circuit("cm82a_208", scale_gate_cap=80)
+        signatures = {}
+        for name in BACKENDS:
+            result = HeuristicMapper(
+                by_name("tokyo"), TABLE1_LATENCY, kernel=name
+            ).map(circuit)
+            signatures[name] = _parity_signature(result) + (
+                result.stats["queue_trims"],
+            )
+        assert signatures["pure"][-1] > 0  # the trim path was exercised
+        reference = signatures["pure"]
+        assert all(sig == reference for sig in signatures.values()), signatures
+
     def test_ablations_survive_backends(self):
         # Pruning toggles route through the same kernel seam; a backend
         # must not silently re-enable what the config switched off.
@@ -276,6 +300,140 @@ class TestHeuristicBatch:
         backend.heuristic_batch(problem, nodes, memo=memo)
         assert [node.h for node in nodes] == expected
         assert memo.hits == before + len(nodes)
+
+
+# ---------------------------------------------------------------------------
+# heuristic_batch on the nodes the heuristic mapper really scores
+# ---------------------------------------------------------------------------
+
+#: Tokyo (distances up to 4, so both the ``d == 2`` shortcut and the
+#: general SWAP split run) and a grid above the compiled kernel's
+#: 128-qubit stack buffers (its heap path).
+_MAPPER_ARCHS = {"tokyo": by_name("tokyo"), "grid12x11": grid(12, 11)}
+
+
+class _RecordingBackend(KernelBackend):
+    """Pure backend that keeps every batch the search hands it."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.problem = None
+        self.nodes = []
+
+    def heuristic_batch(self, problem, nodes, *args, **kwargs):
+        self.problem = problem
+        self.nodes.extend(nodes)
+        super().heuristic_batch(problem, nodes, *args, **kwargs)
+
+
+def _mapper_scored_nodes(circuit, arch, latency, window):
+    """``(problem, nodes)``: every node a HeuristicMapper run scored."""
+    recorder = _RecordingBackend()
+    HeuristicMapper(arch, latency, window=window, kernel=recorder).map(
+        circuit
+    )
+    return recorder.problem, recorder.nodes
+
+
+def _windowed_cases(problem, nodes, window):
+    """Which branches of the windowed scan ``nodes`` reach."""
+    cases = set()
+    dist = problem.dist
+    for node in nodes:
+        for _finish, kind, _a, _b in node.inflight:
+            cases.add("inflight_swap" if kind == K_SWAP else "inflight_gate")
+        rows, truncated = problem.window_rows(window, node.ptr)
+        if truncated:
+            cases.add("truncated")
+        pos = node.mapping_after_swaps()[0]
+        for l1, l2, _length in rows:
+            if l2 < 0:
+                cases.add("single")
+            elif pos[l1] < 0 or pos[l2] < 0:
+                cases.add("unplaced")
+            elif dist[pos[l1]][pos[l2]] == 2:
+                cases.add("d2")
+            elif dist[pos[l1]][pos[l2]] >= 3:
+                cases.add("d3+")
+    return cases
+
+
+def _assert_windowed_parity(problem, nodes, window):
+    for swap_aware in (True, False):
+        expected = [
+            _heuristic_cost_reference(
+                problem, node, window=window, swap_aware=swap_aware
+            )
+            for node in nodes
+        ]
+        for name in BACKENDS:
+            for node in nodes:
+                node.h = None
+            get_backend(name).heuristic_batch(
+                problem, nodes, window=window, swap_aware=swap_aware
+            )
+            assert [node.h for node in nodes] == expected, (name, swap_aware)
+
+
+class TestWindowedMapperNodes:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        circuit=circuits(min_qubits=5, max_qubits=9, max_gates=20),
+        latency=latencies(),
+        arch=st.sampled_from(sorted(_MAPPER_ARCHS)),
+        window=st.integers(1, 4),
+    )
+    def test_every_backend_matches_reference(
+        self, circuit, latency, arch, window
+    ):
+        problem, nodes = _mapper_scored_nodes(
+            circuit, _MAPPER_ARCHS[arch], latency, window
+        )
+        _assert_windowed_parity(problem, nodes, window)
+
+    @pytest.mark.parametrize("arch", sorted(_MAPPER_ARCHS))
+    def test_fixed_run_reaches_every_branch(self, arch):
+        # A fixed instance proving the node supply above reaches every
+        # branch of the windowed scan on both architectures.  Qubit 8
+        # first meets qubit 0 behind three of its gates, so it sits in
+        # the look-ahead window long before it is placed.
+        circuit = Circuit(9)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 5),
+                     (3, 7), (2, 6), (0, 4), (8, 0), (5, 6), (1, 7),
+                     (8, 3)):
+            circuit.cx(a, b)
+            circuit.h(b)
+        window = 1
+        problem, nodes = _mapper_scored_nodes(
+            circuit, _MAPPER_ARCHS[arch], uniform_latency(2, 3), window
+        )
+        assert _windowed_cases(problem, nodes, window) == {
+            "inflight_swap", "inflight_gate", "truncated", "single",
+            "unplaced", "d2", "d3+",
+        }
+        _assert_windowed_parity(problem, nodes, window)
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="C kernel not built")
+def test_compiled_windowed_rejects_malformed_input():
+    problem = MappingProblem(Circuit(3).cx(0, 2), lnn(3))
+    backend = get_backend("compiled")
+    packed = backend._packed(problem)
+    rows = backend._window_rows(problem, 2, (0, 0, 0))
+    pos = inv = (0, 1, 2)
+    windowed = backend._ck.windowed
+    assert windowed(packed, rows, 0, (), pos, inv, True) == heuristic_cost(
+        problem, make_node(problem), window=2
+    )
+    with pytest.raises(ValueError):
+        windowed(packed, rows, 0, (), pos[:2], inv, True)
+    with pytest.raises(ValueError):
+        windowed(packed, rows + bytes(8), 0, (), pos, inv, True)
 
 
 # ---------------------------------------------------------------------------
