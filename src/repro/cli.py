@@ -216,10 +216,9 @@ def _build_telemetry(args, run_id: Optional[str] = None) -> Optional[Telemetry]:
     """Telemetry context for ``map``; None when no flag asks for one.
 
     Span/metrics/progress flags instrument the search itself
-    (``hot_path=True`` — the mapper runs its instrumented branch);
+    (``hot_path=True`` — the search loop gets a live hook);
     ``--sample-resources`` / ``--profile`` alone attach only the
-    flight recorder, leaving the search on the uninstrumented fast
-    path.
+    flight recorder, leaving the search with the null hook.
     """
     search_trace_path = getattr(args, "search_trace", None)
     hot_path = bool(

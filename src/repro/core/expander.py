@@ -15,12 +15,8 @@ break a currently-satisfiable frontier gate are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import (
-    PRUNE_SWAP_RESTRICTION as TRACE_PRUNE_SWAP_RESTRICTION,
-)
 from .problem import MappingProblem
 from .state import Action, K_GATE, K_SWAP, SearchNode
 
@@ -613,9 +609,7 @@ def expand(
     problem: MappingProblem,
     node: SearchNode,
     config: ExpansionConfig = OPTIMAL_EXPANSION,
-    metrics: Optional[MetricsRegistry] = None,
     counters: Optional[Dict[str, int]] = None,
-    trace=None,
 ) -> List[SearchNode]:
     """All non-redundant children of ``node``.
 
@@ -629,28 +623,12 @@ def expand(
         problem: Problem instance.
         node: Node to expand.
         config: Expansion restrictions (optimal vs. practical mode).
-        metrics: When given, records per-expansion distributions
-            (``expand.startable_gates/startable_swaps/action_sets/
-            children``) and counts redundancy-fallback regenerations.
         counters: Optional mutable dict for cheap cross-expansion
-            counters (``swaps_restricted``) kept even on the
-            uninstrumented fast path.
-        trace: Optional :class:`~repro.obs.trace.TraceRecorder`; emits a
-            ``swap_restriction`` prune record attributed to ``node``
-            when the active-SWAP rule discarded candidate SWAPs here.
+            counters (``swaps_restricted``); the search loop turns its
+            per-expansion delta into the ``swap_restriction`` trace
+            record.
     """
-    if trace is not None and counters is not None:
-        restricted_before = counters.get("swaps_restricted", 0)
     gates, swaps = startable_actions(problem, node, config, counters)
-    if trace is not None and counters is not None:
-        restricted_delta = (
-            counters.get("swaps_restricted", 0) - restricted_before
-        )
-        if restricted_delta:
-            trace.prune(
-                TRACE_PRUNE_SWAP_RESTRICTION, node=node,
-                count=restricted_delta,
-            )
     all_startable = frozenset(gates) | frozenset(swaps)
     parent_eff = node.mapping_after_swaps()
     children: List[SearchNode] = []
@@ -666,7 +644,6 @@ def expand(
         action_sets = enumerate_action_sets(
             problem, node, gates, swaps, config, masks=masks
         )
-        num_sets = len(action_sets)
         for action_set in action_sets:
             if not action_set:
                 if not has_inflight:
@@ -689,7 +666,6 @@ def expand(
             rows, config.max_swaps_per_step, prev_startable,
             include_empty=has_inflight,
         )
-        num_sets = len(candidates)
         for action_set, touched in candidates:
             child = apply_action_set(
                 problem, node, action_set, all_startable,
@@ -705,8 +681,6 @@ def expand(
         # schedules, but a bounded-queue (practical-mode) search may have
         # trimmed them away — regenerate ignoring the redundancy rule so
         # the node is never a dead end.
-        if metrics is not None:
-            metrics.counter("expand.redundancy_fallbacks").inc()
         masks = dict(startable_pairs)
         if config.greedy_gates:
             fallback_sets = [s for s in action_sets if s]
@@ -725,9 +699,4 @@ def expand(
             )
             if child is not None:
                 children.append(child)
-    if metrics is not None:
-        metrics.histogram("expand.startable_gates").observe(len(gates))
-        metrics.histogram("expand.startable_swaps").observe(len(swaps))
-        metrics.histogram("expand.action_sets").observe(num_sets)
-        metrics.histogram("expand.children").observe(len(children))
     return children

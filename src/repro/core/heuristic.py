@@ -145,23 +145,17 @@ class HeuristicMemo:
     create one memo per run.
 
     Attributes:
-        hits / misses: Lifetime counters, mirrored into the
-            ``heuristic.memo_hits`` / ``heuristic.memo_misses`` metrics
-            when a :class:`~repro.obs.MetricsRegistry` is attached.
+        hits / misses: Lifetime counters; the searches report them as
+            the ``memo_hits`` / ``memo_misses`` stats, which an
+            instrumented run publishes as ``heuristic.memo_*`` metrics.
     """
 
-    __slots__ = ("table", "hits", "misses", "_m_hits", "_m_misses")
+    __slots__ = ("table", "hits", "misses")
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self.table: Dict[Tuple, int] = {}
         self.hits = 0
         self.misses = 0
-        if metrics is not None:
-            self._m_hits = metrics.counter("heuristic.memo_hits")
-            self._m_misses = metrics.counter("heuristic.memo_misses")
-        else:
-            self._m_hits = None
-            self._m_misses = None
 
     @property
     def hit_rate(self) -> float:
@@ -197,9 +191,8 @@ def heuristic_cost(
             deepening start point) uses.  Still admissible, just weaker.
         metrics: When given, counts calls and records the pending-gate
             workload per evaluation (``heuristic.calls`` /
-            ``heuristic.pending_gates``); the caller times the evaluation
-            itself (``heuristic.latency_s``) since only it knows whether
-            telemetry is on.
+            ``heuristic.pending_gates``); the searches time a whole
+            scoring batch with the ``heuristic`` span.
         memo: Optional whole-evaluation cache (see :class:`HeuristicMemo`);
             must be dedicated to this ``(window, swap_aware)`` combination.
 
@@ -215,12 +208,8 @@ def heuristic_cost(
         cached = memo.table.get(key)
         if cached is not None:
             memo.hits += 1
-            if memo._m_hits is not None:
-                memo._m_hits.inc()
             return cached
         memo.misses += 1
-        if memo._m_misses is not None:
-            memo._m_misses.inc()
     else:
         key = None
 

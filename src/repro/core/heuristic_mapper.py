@@ -26,23 +26,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..circuit.circuit import Circuit
 from ..circuit.latency import LatencyModel
-from ..obs.events import SearchProgressEvent
 from ..obs.schema import (
     MAPPER_TOQM_HEURISTIC,
     STAT_KERNEL_BACKEND,
     base_stats,
 )
-from ..obs.telemetry import Telemetry, resolve
-from ..obs.tracer import SPAN_EXPAND, SPAN_FILTER, SPAN_HEURISTIC, SPAN_SEARCH
+from ..obs.telemetry import SearchHook, Telemetry, resolve
+from ..obs.tracer import SPAN_EXPAND, SPAN_FILTER, SPAN_HEURISTIC
 from .expander import (
     ExpansionConfig,
     _blocked_frontier_pairs,
-    expand,
     frontier_gates,
 )
 from .filters import StateFilter
@@ -132,11 +130,14 @@ class HeuristicMapper:
             window is fixed for the whole run); pure evaluation cache,
             never changes scores or node counts.
         telemetry: Optional observability context; ``None`` runs the
-            uninstrumented fast path.
+            same search with the null hook.
         kernel: Kernel backend name (``pure``/``vector``/``compiled``) or
-            ``None`` for the auto-probe.  Children are scored through the
-            backend's windowed scan (C under ``compiled``, the python
-            scan under ``pure``/``vector``), bit-identical either way.
+            ``None`` for the auto-probe.  Expansion, state-filter
+            admission and scoring go through the backend: children are
+            scored by its windowed scan (C under ``compiled``, the python
+            scan under ``pure``/``vector``), bit-identical either way;
+            the greedy expansion config always runs the reference
+            expander, and ``compiled`` admits through its fused C scan.
     """
 
     #: Stats label this mapper writes into ``MappingResult.stats``.
@@ -222,25 +223,12 @@ class HeuristicMapper:
         initial_mapping: Optional[Sequence[int]],
         level_cap: int,
     ) -> MappingResult:
-        tele = resolve(self.telemetry)
-        if not tele.enabled:
-            # Acyclic search graph: the cyclic collector is pure overhead
-            # during the loop (see ``gcpause``).
-            with pause_gc():
-                return self._run_loop(problem, initial_mapping, level_cap, tele)
-        with tele.tracer.span(
-            SPAN_SEARCH,
-            mapper=self.mapper_name,
-            circuit=problem.circuit.name or "<unnamed>",
-            gates=problem.num_gates,
-            arch=problem.coupling.name,
-            level_cap=level_cap,
-        ):
-            with pause_gc():
-                result = self._run_loop(
-                    problem, initial_mapping, level_cap, tele
-                )
-        tele.emit_metrics_snapshot(label="search_complete")
+        hook = resolve(self.telemetry).hook(self.mapper_name, traced=False)
+        # Acyclic search graph: the cyclic collector is pure overhead
+        # during the loop (see ``gcpause``).
+        with hook.search_span(problem, level_cap=level_cap), pause_gc():
+            result = self._run_loop(problem, initial_mapping, level_cap, hook)
+        hook.finish(result.stats, label="search_complete")
         return result
 
     def _run_loop(
@@ -248,18 +236,15 @@ class HeuristicMapper:
         problem: MappingProblem,
         initial_mapping: Optional[Sequence[int]],
         level_cap: int,
-        tele: Telemetry,
+        hook: SearchHook,
     ) -> MappingResult:
         start_clock = _time.perf_counter()
-        enabled = tele.enabled
-        tracer = tele.tracer
         kernel = resolve_backend(self.kernel)
         root = self._make_root(problem, initial_mapping)
         state_filter = StateFilter(
-            problem,
-            live_only=True,
-            metrics=tele.metrics if enabled else None,
+            problem, live_only=True, metrics=hook.metrics, kernel=kernel
         )
+        admit = state_filter.admit
         counter = itertools.count()
 
         def priority(node: SearchNode) -> Tuple[int, int, int]:
@@ -268,26 +253,33 @@ class HeuristicMapper:
         memo = None
         if self.memoize:
             context = getattr(self, "arch_context", None)
-            if context is not None and not enabled:
+            if context is not None:
                 # Warm-cache batch runs share the memo across repeats of
                 # the same circuit — sound because the memo key is a pure
                 # function of node state for a fixed (window, swap_aware)
                 # configuration, which the config key pins.
                 memo = context.memo(problem, ("heuristic", self.window))
             else:
-                memo = HeuristicMemo(metrics=tele.metrics if enabled else None)
+                memo = HeuristicMemo()
+        metrics = hook.metrics
 
-        if enabled:
-            metrics = tele.metrics
-            m_expanded = metrics.counter("search.nodes_expanded")
-            m_generated = metrics.counter("search.nodes_generated")
-            m_trims = metrics.counter("search.queue_trims")
-            m_heap = metrics.gauge("search.heap_size")
-            m_frontier = metrics.gauge("search.best_f")
-            m_heuristic_latency = metrics.histogram(
-                "heuristic.latency_s", scale=1e-6
+        def score(nodes: List[SearchNode]) -> None:
+            kernel.heuristic_batch(
+                problem, nodes, window=self.window, metrics=metrics,
+                memo=memo,
             )
-            progress_every = tele.progress_every
+
+        def admit_all(nodes: List[SearchNode]) -> List[SearchNode]:
+            return [node for node in nodes if admit(node)]
+
+        # Per-fan-out spans on an instrumented run; the plain callables
+        # otherwise.
+        expand_children = hook.timed(SPAN_EXPAND, kernel.expand)
+        score = hook.timed(SPAN_HEURISTIC, score)
+        admit_all = hook.timed(SPAN_FILTER, admit_all)
+
+        def progress_extra(node: SearchNode) -> Dict[str, int]:
+            return {"queue_trims": trims, "gates_started": node.started}
 
         root.h = heuristic_cost(problem, root, window=self.window, memo=memo)
         root.f = root.time + int(self.greediness * root.h)
@@ -296,8 +288,6 @@ class HeuristicMapper:
         ]
         expanded = 0
         generated = 1
-        if enabled:
-            m_generated.inc(generated)
         trims = 0
         level_expansions: dict = {}
 
@@ -335,84 +325,27 @@ class HeuristicMapper:
             level_expansions[level] = used + 1
             expanded += 1
             node.dropped = True  # leaves the open list
+            hook.expanded(
+                node, node.f, len(heap), expanded, generated, progress_extra
+            )
 
-            if not enabled:
-                # Fast path: identical to the instrumented branch below
-                # minus every span/metric touch.  Children are scored as
-                # one batch through the kernel seam (bit-identical to
-                # per-node evaluation, including memo accounting).
-                children = expand(problem, node, self.config)
-                scored: List[SearchNode] = []
-                for child in children:
-                    self._place_frontier(problem, child)
-                    scored.append(child)
-                kernel.heuristic_batch(
-                    problem, scored, window=self.window, memo=memo
-                )
-                for child in scored:
-                    child.f = child.time + int(self.greediness * child.h)
-            else:
-                m_expanded.inc()
-                if expanded % progress_every == 0:
-                    m_heap.set(len(heap))
-                    m_frontier.set(node.f)
-                    tele.publish_progress(
-                        SearchProgressEvent(
-                            mapper=self.mapper_name,
-                            phase="search",
-                            nodes_expanded=expanded,
-                            nodes_generated=generated,
-                            heap_size=len(heap),
-                            best_f=node.f,
-                            elapsed_seconds=_time.perf_counter() - start_clock,
-                            extra={
-                                "queue_trims": trims,
-                                "gates_started": node.started,
-                            },
-                        )
-                    )
-                with tracer.span(SPAN_EXPAND, t=node.time, f=node.f):
-                    children = expand(
-                        problem, node, self.config, metrics=metrics
-                    )
-                    m_generated.inc(len(children))
-                    scored = []
-                    for child in children:
-                        self._place_frontier(problem, child)
-                        with tracer.span(SPAN_HEURISTIC):
-                            t0 = _time.perf_counter()
-                            child.h = heuristic_cost(
-                                problem,
-                                child,
-                                window=self.window,
-                                metrics=metrics,
-                                memo=memo,
-                            )
-                            m_heuristic_latency.observe(
-                                _time.perf_counter() - t0
-                            )
-                        child.f = child.time + int(self.greediness * child.h)
-                        scored.append(child)
-
-            generated += len(scored)
-            scored.sort(key=lambda c: (c.f, -c.started))
-            kept = scored[: self.top_k]
-            if not enabled:
-                for child in kept:
-                    if state_filter.admit(child):
-                        heapq.heappush(heap, (*priority(child), child))
-            else:
-                for child in kept:
-                    with tracer.span(SPAN_FILTER):
-                        admitted = state_filter.admit(child)
-                    if admitted:
-                        heapq.heappush(heap, (*priority(child), child))
+            # Children are scored as one batch through the kernel seam
+            # (bit-identical to per-node evaluation, including memo
+            # accounting).
+            children = expand_children(problem, node, self.config)
+            for child in children:
+                self._place_frontier(problem, child)
+            score(children)
+            for child in children:
+                child.f = child.time + int(self.greediness * child.h)
+            generated += len(children)
+            children.sort(key=lambda c: (c.f, -c.started))
+            for child in admit_all(children[: self.top_k]):
+                heapq.heappush(heap, (*priority(child), child))
             if len(heap) > self.queue_cap:
                 heap = self._trim(heap)
                 state_filter.compact()
                 trims += 1
-                if enabled:
-                    m_trims.inc()
 
         raise RoutingFailed(
             "priority queue emptied before the circuit completed"

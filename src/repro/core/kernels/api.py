@@ -225,10 +225,6 @@ class KernelBackend:
                 dups.append((node, slot))
         memo.hits += hits
         memo.misses += len(miss_nodes)
-        if memo._m_hits is not None and hits:
-            memo._m_hits.inc(hits)
-        if memo._m_misses is not None and miss_nodes:
-            memo._m_misses.inc(len(miss_nodes))
         if miss_nodes:
             values = self._eval_nodes(problem, miss_nodes, window, swap_aware)
             for node, key, value in zip(miss_nodes, miss_keys, values):

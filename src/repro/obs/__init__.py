@@ -2,9 +2,9 @@
 
 Three cooperating pieces, bundled by :class:`Telemetry`:
 
-* :class:`Tracer` — nested timed spans (``search`` > ``expand`` >
-  ``heuristic``/``filter``, plus ``prefix``) with a JSONL sink and a
-  human-readable tree renderer;
+* :class:`Tracer` — timed spans (``search`` > ``expand`` /
+  ``heuristic`` / ``filter`` / ``prefix``, one per fan-out) with a JSONL
+  sink and a human-readable tree renderer;
 * :class:`MetricsRegistry` — counters / gauges / histograms snapshotable
   at any point, including on budget exhaustion;
 * :class:`ProgressPublisher` — a live :class:`SearchProgressEvent`
@@ -28,7 +28,7 @@ Three cooperating pieces, bundled by :class:`Telemetry`:
 
 :mod:`repro.obs.schema` defines the normalized ``MappingResult.stats``
 key set every mapper emits.  The default path (``telemetry=None``) is
-near-zero overhead: one flag check per expansion.
+near-zero overhead: the search loops run with a do-nothing hook.
 """
 
 from .events import ProgressPublisher, SearchProgressEvent

@@ -106,7 +106,7 @@ class MetricsRegistry:
     """Get-or-create registry of named instruments.
 
     Names are dotted strings (``search.nodes_expanded``,
-    ``heuristic.latency_s``); a name belongs to exactly one instrument
+    ``heuristic.pending_gates``); a name belongs to exactly one instrument
     kind — asking for it as another kind raises ``TypeError``.
     """
 

@@ -1,9 +1,10 @@
 """The `Telemetry` facade: one handle bundling tracer + metrics + events.
 
 Every mapper accepts an optional ``telemetry`` argument.  ``None`` (the
-default) resolves to :data:`NULL_TELEMETRY`, whose ``enabled`` flag lets
-hot loops skip all instrumentation with a single attribute read — the
-no-sinks path stays near-zero overhead so tier-1 timings are unaffected.
+default) resolves to :data:`NULL_TELEMETRY`.  The search mappers run one
+loop either way and carry a :class:`SearchHook` built by
+:meth:`Telemetry.hook`; a disabled telemetry yields :data:`NULL_HOOK`,
+whose methods do nothing, so the no-sinks path stays near-zero overhead.
 
 Typical wiring::
 
@@ -29,23 +30,24 @@ Flight recorder: ``sample_resources=True`` runs a background
 attributing wall-clock samples to the open span stack and the kernel
 backend.  Both observe *from outside* the search thread, so they
 compose with ``hot_path=False`` — a telemetry whose ``enabled`` flag is
-off keeps the mapper on the uninstrumented fast path while the recorder
-still captures the run (the configuration the overhead gate in
+off hands the mapper the null hook while the recorder still captures the
+run (the configuration the overhead gate in
 ``tests/test_runtime_obs.py`` certifies at <5%).
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .events import ProgressPublisher, SearchProgressEvent
 from .metrics import MetricsRegistry
 from .profiler import DEFAULT_PROFILE_INTERVAL, SamplingProfiler
 from .runtime import DEFAULT_RESOURCE_INTERVAL, ResourceSampler
 from .sinks import JsonlSink, Sink
-from .tracer import NULL_TRACER, Tracer
+from .tracer import NULL_SPAN, NULL_TRACER, SPAN_SEARCH, Tracer
 
 #: Default expansion cadence for progress events.
 DEFAULT_PROGRESS_EVERY = 1000
@@ -73,10 +75,11 @@ class Telemetry:
         profile_interval: Seconds between profile stack samples.
         profile_collapsed: Path for the folded-stack flamegraph file
             written when the profiler stops.
-        hot_path: Sets ``enabled`` — whether mappers run their
-            *instrumented* search branch (spans/metrics/progress).  Keep
-            the default for span-level telemetry; pass ``False`` to fly
-            the flight recorder over the uninstrumented fast path.
+        hot_path: Sets ``enabled`` — whether :meth:`hook` hands the
+            search loop a live :class:`SearchHook` (spans, metrics,
+            progress, search trace) or :data:`NULL_HOOK`.  The loop is
+            the same either way.  Keep the default for span-level
+            telemetry; pass ``False`` to fly the flight recorder alone.
         run_id: Correlation ID stamped onto every progress event and
             metrics snapshot this handle emits.  Set by the CLI from the
             run-ledger entry (:mod:`repro.obs.ledger`) so fleet shards,
@@ -156,6 +159,18 @@ class Telemetry:
             progress_every=progress_every,
             max_spans=max_spans,
             **flight_recorder,
+        )
+
+    def hook(self, mapper: str, traced: bool = True):
+        """The search hook for one run of ``mapper``.
+
+        :data:`NULL_HOOK` unless ``enabled``.  ``traced`` hands the hook
+        the attached ``search_trace``; only the exact search records one.
+        """
+        if not self.enabled:
+            return NULL_HOOK
+        return SearchHook(
+            self, mapper, self.search_trace if traced else None
         )
 
     @property
@@ -245,6 +260,134 @@ class Telemetry:
             self.sink.close()
         return record
 
+
+#: Stats counters a search publishes into metrics when it ends:
+#: ``(stats key, metric name)``.
+_PUBLISHED_STATS = (
+    ("nodes_expanded", "search.nodes_expanded"),
+    ("nodes_generated", "search.nodes_generated"),
+    ("pruned_by_bound", "search.pruned_by_bound"),
+    ("incumbent_updates", "search.incumbent_updates"),
+    ("queue_trims", "search.queue_trims"),
+    ("memo_hits", "heuristic.memo_hits"),
+    ("memo_misses", "heuristic.memo_misses"),
+)
+
+
+class SearchHook:
+    """What an instrumented search run does beyond a plain one.
+
+    The search loops call it only there: once per expansion
+    (:meth:`expanded`: trace record, progress cadence), around the
+    per-fan-out batch calls (:meth:`timed`: spans), at every prune or
+    incumbent (trace records, the ``search.incumbent_depth`` gauge) and
+    once at the end (:meth:`finish`: counters published from the run's
+    own stats, trace summary, metrics snapshot).
+
+    Attributes:
+        metrics: The registry for per-evaluation instruments (heuristic
+            scoring, state filter); ``None`` on :data:`NULL_HOOK`.
+        trace: The :class:`~repro.obs.trace.TraceRecorder` this run
+            records into, or ``None``.
+    """
+
+    def __init__(self, telemetry: Telemetry, mapper: str, trace) -> None:
+        self.telemetry = telemetry
+        self.mapper = mapper
+        self.metrics = telemetry.metrics
+        self.trace = trace
+        self._span = telemetry.tracer.span
+        self._every = telemetry.progress_every
+        self._start = time.perf_counter()
+
+    def search_span(self, problem, **attrs):
+        """The run's root ``search`` span."""
+        return self._span(
+            SPAN_SEARCH,
+            mapper=self.mapper,
+            circuit=problem.circuit.name or "<unnamed>",
+            gates=problem.num_gates,
+            arch=problem.coupling.name,
+            **attrs,
+        )
+
+    def timed(self, name: str, fn: Callable) -> Callable:
+        """``fn`` with every call wrapped in a span called ``name``."""
+        span = self._span
+
+        def call(*args, **kwargs):
+            with span(name):
+                return fn(*args, **kwargs)
+
+        return call
+
+    def expanded(self, node, f, heap_size, expanded, generated, extra):
+        """One expansion; ``extra(node)`` fills the progress event."""
+        if self.trace is not None:
+            self.trace.expand(node, heap_size=heap_size)
+        if expanded % self._every:
+            return
+        metrics = self.metrics
+        metrics.gauge("search.heap_size").set(heap_size)
+        metrics.gauge("search.best_f").set(f)
+        self.telemetry.publish_progress(
+            SearchProgressEvent(
+                mapper=self.mapper,
+                phase="prefix" if node.in_prefix else "search",
+                nodes_expanded=expanded,
+                nodes_generated=generated,
+                heap_size=heap_size,
+                best_f=f,
+                elapsed_seconds=time.perf_counter() - self._start,
+                extra=extra(node),
+            )
+        )
+
+    def prune(self, reason: str, node, count: int = 1) -> None:
+        if self.trace is not None:
+            self.trace.prune(reason, node=node, count=count)
+
+    def incumbent(self, depth: int, source: str) -> None:
+        self.metrics.gauge("search.incumbent_depth").set(depth)
+        if self.trace is not None:
+            self.trace.incumbent(depth, source)
+
+    def finish(self, stats: Dict, label: str) -> None:
+        """Publish the run's counters from ``stats``, then snapshot."""
+        for key, name in _PUBLISHED_STATS:
+            if key in stats:
+                self.metrics.counter(name).inc(stats[key])
+        if self.trace is not None:
+            self.trace.summary(stats)
+        self.telemetry.emit_metrics_snapshot(label=label)
+
+
+class _NullHook:
+    """The :class:`SearchHook` of a disabled telemetry: does nothing."""
+
+    metrics = None
+    trace = None
+
+    def search_span(self, problem, **attrs):
+        return NULL_SPAN
+
+    def timed(self, name: str, fn: Callable) -> Callable:
+        return fn
+
+    def expanded(self, node, f, heap_size, expanded, generated, extra):
+        pass
+
+    def prune(self, reason: str, node, count: int = 1) -> None:
+        pass
+
+    def incumbent(self, depth: int, source: str) -> None:
+        pass
+
+    def finish(self, stats: Dict, label: str) -> None:
+        pass
+
+
+NULL_HOOK = _NullHook()
 
 #: Module-wide disabled instance; mappers use it when given ``telemetry=None``.
 NULL_TELEMETRY = Telemetry.disabled()

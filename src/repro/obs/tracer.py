@@ -1,16 +1,17 @@
 """Nested timed spans over the mapping hot path.
 
 The :class:`Tracer` produces a tree of :class:`Span` objects — ``search``
-at the root, with ``expand`` / ``heuristic`` / ``filter`` / ``prefix``
-children — each carrying wall-clock start/end times and free-form
+at the root, with one ``expand`` / ``heuristic`` / ``filter`` /
+``prefix`` child per fan-out batch call — each carrying wall-clock start/end times and free-form
 attributes.  Finished spans stream to an optional sink as JSONL records
 (so a crashed or budget-killed run keeps its trail) and stay in memory
 for the human-readable tree renderer.
 
 Overhead discipline: callers that run with tracing disabled must never
 construct span objects.  :data:`NULL_TRACER` exposes the same API with a
-shared no-op span, and its ``enabled`` flag lets hot loops skip the
-instrumented branch entirely — the disabled cost is one attribute read.
+shared no-op span, and the search loops never call it when telemetry is
+off: their null hook (:data:`~repro.obs.telemetry.NULL_HOOK`) hands back
+the unwrapped callables instead of span-wrapped ones.
 """
 
 from __future__ import annotations
