@@ -17,8 +17,11 @@ from repro.analysis.portfolio import (
     PortfolioMapper,
 )
 from repro.arch import lnn
+from repro.arch.library import by_name
 from repro.baselines.sabre import SabreMapper
+from repro.benchcircuits import olsq_circuit, wille_circuit
 from repro.circuit import uniform_latency
+from repro.circuit.latency import OLSQ_LATENCY, TABLE1_LATENCY
 from repro.circuit.generators import qft_skeleton
 from repro.core import OptimalMapper
 from repro.obs.schema import validate_stats
@@ -142,3 +145,30 @@ def test_exact_lane_counters_are_hoisted():
     assert stats["closed_dominated"] > 0
     assert stats["root_candidates_restricted"] > 0
     assert "budget_reason" not in stats  # proof supersedes the lane's tag
+
+
+@pytest.mark.parametrize(
+    "circuit, arch, latency, optimum",
+    [
+        (wille_circuit("alu-v3_35"), "ibmqx2", TABLE1_LATENCY, 40),
+        (wille_circuit("4gt13_92"), "ibmqx2", TABLE1_LATENCY, 62),
+        (olsq_circuit("qaoa5"), "ibmqx2", OLSQ_LATENCY, 14),
+        (olsq_circuit("4gt13_92"), "ibmqx2", OLSQ_LATENCY, 38),
+        (olsq_circuit("queko_05_0"), "aspen-4", OLSQ_LATENCY, 5),
+    ],
+    ids=["t1-alu-v3_35", "t1-4gt13_92", "t2-qaoa5", "t2-4gt13_92",
+         "t2-queko_05_0"],
+)
+def test_exact_lane_keeps_the_terminal_that_meets_the_layer_floor(
+    circuit, arch, latency, optimum
+):
+    """On these rows the layer-weight floor equals the optimum: the
+    exact lane's optimal terminal sets the shared bound when pushed and
+    must not be pruned by that floor when popped."""
+    result = PortfolioMapper(by_name(arch), latency, lanes=("exact",)).map(
+        circuit
+    )
+    validate_result(result)
+    assert result.depth == optimum
+    assert result.optimal
+    assert not result.stats.get("lane_errors")
