@@ -18,7 +18,12 @@ from repro.analysis.diagnose import (
     load_trace,
     render_report,
 )
+from repro.arch import lnn
+from repro.circuit import uniform_latency
+from repro.circuit.generators import qft_skeleton
 from repro.cli import main
+from repro.core import OptimalMapper
+from repro.obs import Telemetry, TraceRecorder
 
 
 def _record_trace(tmp_path, extra_args=()):
@@ -68,6 +73,23 @@ class TestDiagnose:
         assert "counter reconciliation: OK" in rendered
         assert "pruning attribution" in rendered
         assert "admissible" in rendered
+
+    def test_find_all_optimal_trace_reconciles(self):
+        # The enumeration keeps expanding after its last solution; that
+        # solution's stats must count those expansions too.
+        recorder = TraceRecorder(mode="full", keep_records=True)
+        telemetry = Telemetry(search_trace=recorder)
+        solutions = OptimalMapper(
+            lnn(4), uniform_latency(1, 3), telemetry=telemetry
+        ).find_all_optimal(qft_skeleton(4))
+        report = diagnose(recorder.drain())
+        assert report["complete"] and report["consistent"], \
+            report["mismatches"]
+        stats = solutions[-1].stats
+        assert report["recorded_counters"]["nodes_expanded"] == \
+            stats["nodes_expanded"]
+        assert telemetry.metrics.snapshot()["search.nodes_expanded"] == \
+            stats["nodes_expanded"]
 
     def test_partial_ring_trace_skips_reconciliation(self, tmp_path):
         path = _record_trace(
