@@ -136,8 +136,8 @@ class HeuristicMapper:
             admission and scoring go through the backend: children are
             scored by its windowed scan (C under ``compiled``, the python
             scan under ``pure``/``vector``), bit-identical either way;
-            the greedy expansion config always runs the reference
-            expander, and ``compiled`` admits through its fused C scan.
+            ``compiled`` also expands the greedy config in C and admits
+            through its fused C scan.
     """
 
     #: Stats label this mapper writes into ``MappingResult.stats``.

@@ -21,7 +21,12 @@
  *                    compaction.  Entries are instances of the C
  *                    ``Entry`` type below so field access inside the
  *                    scan is a struct load, not a dict/slot lookup.
- *   expand()      -- the optimal-mode node expansion.
+ *   expand()      -- expander.expand under any ExpansionConfig: the
+ *                    optimal modes (plain subset enumeration, optional
+ *                    active-SWAP restriction) and the practical
+ *                    mapper's greedy mode (forced gate base, frontier
+ *                    SWAP pool, protected frontier, SWAP cap), with the
+ *                    redundancy rule and its fallback.
  *
  * Semantics contract: every function must be bit-identical to the pure
  * python code it shadows (tests/test_kernels.py enforces this through
@@ -1016,7 +1021,7 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* Optimal-mode expansion                                              */
+/* Node expansion                                                      */
 /* ------------------------------------------------------------------ */
 
 /* Interned attribute names for SearchNode construction. */
@@ -1138,6 +1143,8 @@ typedef struct {
     Py_ssize_t *chosen;        /* action indices of the current subset */
     int8_t *chosen_flag;
     PyObject *children;        /* output list */
+    int64_t max_swaps;         /* SWAPs per set; -1 = no cap */
+    int allow_empty;           /* emit the empty set (time may pass) */
     /* apply scratch (sized n_act / n_inflight+n_act / n_ls+...): */
     int64_t *nptr, *scr_pos, *scr_effpos;   /* L */
     int64_t *scr_inv, *scr_effinv;          /* P */
@@ -1150,8 +1157,8 @@ typedef struct {
 /* apply_action_set for the current ``chosen`` subset; appends the child
  * to ctx->children (or nothing for the impossible empty wait).  Returns
  * 0 on success, -1 on error.  Bit-identical to expander.apply_action_set
- * on the optimal-mode arguments (touched + startable_pairs precomputed,
- * parent_eff given). */
+ * with ``parent_eff`` given (``prev_startable`` is set-equal to the one
+ * the masks-dict path builds). */
 static int
 apply_chosen(ExpandCtx *ctx, Py_ssize_t n_chosen, int64_t touched)
 {
@@ -1486,23 +1493,31 @@ fail:
     return -1;
 }
 
-/* Mirror of expander._recurse_masked fused with the per-candidate
- * apply: emit the current subset (when it contains at least one fresh
- * action), then extend it with every later compatible action.  No SWAP
- * budget: the optimal configs never set max_swaps_per_step. */
+/* Mirror of expander._recurse_masked / _recurse_swaps fused with the
+ * per-candidate apply: emit the current subset, then extend it with every
+ * later compatible action.  A non-empty subset is emitted when it holds
+ * at least one fresh action (the redundancy rule); the empty subset when
+ * ``allow_empty`` is set.  SWAPs beyond ``max_swaps`` (-1 = no cap) are
+ * never added.  The greedy config enters with its gate base already in
+ * ``chosen`` and ``start`` past the gates, so only SWAPs vary. */
 static int
 recurse_subsets(ExpandCtx *ctx, Py_ssize_t start, int64_t mask,
-                Py_ssize_t n_chosen, int64_t fresh)
+                Py_ssize_t n_chosen, int64_t n_swaps, int64_t fresh)
 {
-    if (fresh && apply_chosen(ctx, n_chosen, mask) < 0)
+    if ((n_chosen ? fresh > 0 : ctx->allow_empty)
+        && apply_chosen(ctx, n_chosen, mask) < 0)
         return -1;
     for (Py_ssize_t i = start; i < ctx->n_act; i++) {
         if (mask & ctx->act_mask[i])
             continue;
+        int is_swap = ctx->act_swap[i];
+        if (is_swap && ctx->max_swaps >= 0 && n_swaps >= ctx->max_swaps)
+            continue;
         ctx->chosen[n_chosen] = i;
         ctx->chosen_flag[i] = 1;
         int rc = recurse_subsets(ctx, i + 1, mask | ctx->act_mask[i],
-                                 n_chosen + 1, fresh + ctx->act_fresh[i]);
+                                 n_chosen + 1, n_swaps + is_swap,
+                                 fresh + ctx->act_fresh[i]);
         ctx->chosen_flag[i] = 0;
         if (rc < 0)
             return -1;
@@ -1510,19 +1525,47 @@ recurse_subsets(ExpandCtx *ctx, Py_ssize_t start, int64_t mask,
     return 0;
 }
 
-/* Whole optimal-mode expand: startable-action enumeration, active-SWAP
- * restriction, masked subset recursion fused with the redundancy rule,
- * and child construction.  Returns ``(children, restricted,
- * has_startable)``; the caller (compiled.py) adds ``restricted`` to the
- * shared counters and runs the python redundancy fallback when
- * ``children`` is empty but ``has_startable`` is true. */
+/* One enumeration pass.  Greedy configs force every startable gate that
+ * fits (the first ``n_gates`` actions) into a base every set shares. */
+static int
+enumerate_sets(ExpandCtx *ctx, int greedy, Py_ssize_t n_gates)
+{
+    if (!greedy)
+        return recurse_subsets(ctx, 0, 0, 0, 0, 0);
+    int64_t base_mask = 0;
+    int64_t fresh = 0;
+    Py_ssize_t n_base = 0;
+    for (Py_ssize_t i = 0; i < n_gates; i++) {
+        if (base_mask & ctx->act_mask[i])
+            continue;
+        ctx->chosen[n_base++] = i;
+        ctx->chosen_flag[i] = 1;
+        base_mask |= ctx->act_mask[i];
+        fresh += ctx->act_fresh[i];
+    }
+    int rc = recurse_subsets(ctx, n_gates, base_mask, n_base, 0, fresh);
+    for (Py_ssize_t c = 0; c < n_base; c++)
+        ctx->chosen_flag[ctx->chosen[c]] = 0;
+    return rc;
+}
+
+/* Whole expander.expand: startable-action enumeration under the
+ * ExpansionConfig fields (passed as plain arguments, -1 standing for
+ * None), masked subset recursion fused with the redundancy rule, the
+ * every-set-was-redundant fallback, and child construction.  ``rows`` is
+ * the packed pending-row buffer, read only when ``active_only`` is set.
+ * Returns ``(children, restricted)``; the caller (compiled.py) adds
+ * ``restricted`` to the shared counters. */
 static PyObject *
-expand_optimal(PyObject *self, PyObject *args)
+expand_node(PyObject *self, PyObject *args)
 {
     PyObject *capsule, *cls_obj, *node, *rows_obj;
-    int active_only;
-    if (!PyArg_ParseTuple(args, "OOOO!p", &capsule, &cls_obj, &node,
-                          &PyBytes_Type, &rows_obj, &active_only))
+    int active_only, greedy, frontier_only, protect;
+    Py_ssize_t max_swaps, max_candidates;
+    if (!PyArg_ParseTuple(args, "OOOO!ppppnn", &capsule, &cls_obj, &node,
+                          &PyBytes_Type, &rows_obj, &active_only, &greedy,
+                          &frontier_only, &protect, &max_swaps,
+                          &max_candidates))
         return NULL;
     PackedProblem *pp = PyCapsule_GetPointer(capsule, "repro.packed_problem");
     if (pp == NULL)
@@ -1546,6 +1589,7 @@ expand_optimal(PyObject *self, PyObject *args)
     ctx.pp = pp;
     ctx.cls = (PyTypeObject *)cls_obj;
     ctx.node = node;
+    ctx.max_swaps = max_swaps;
 
     PyObject *result = NULL;
     PyObject *t_started = NULL, *t_time = NULL;
@@ -1607,7 +1651,9 @@ expand_optimal(PyObject *self, PyObject *args)
         + 2 * max_items                    /* completed pairs */
         + 2 * (ctx.n_ls + max_items)       /* kept pairs */
         + 2 * max_act                      /* new-SWAP pairs */
-        + L;                               /* frontier gather */
+        + L                                /* frontier gather */
+        + 2 * L                            /* blocked frontier pairs */
+        + max_act;                         /* candidate gains */
     block = malloc(sizeof(int64_t) * (size_t)(need > 0 ? need : 1));
     if (block == NULL) {
         PyErr_NoMemory();
@@ -1640,7 +1686,10 @@ expand_optimal(PyObject *self, PyObject *args)
     ctx.kept_b = cursor; cursor += ctx.n_ls + max_items;
     ctx.nsw_a = cursor; cursor += max_act;
     ctx.nsw_b = cursor; cursor += max_act;
-    int64_t *ready = cursor;
+    int64_t *ready = cursor; cursor += L;
+    int64_t *blocked_p1 = cursor; cursor += L;
+    int64_t *blocked_p2 = cursor; cursor += L;
+    int64_t *gain = cursor;
 
     if (3 * max_act > 512) {
         flags = malloc((size_t)(3 * max_act));
@@ -1743,7 +1792,12 @@ expand_optimal(PyObject *self, PyObject *args)
         ready[j] = v;
     }
 
+    /* Frontier CNOTs split into blocked pairs (not adjacent: SWAP
+     * targets) and satisfied ones (adjacent: protected from SWAPs, busy
+     * or not). */
     ctx.n_act = 0;
+    int64_t blocked = 0, protected_mask = 0;
+    Py_ssize_t n_blocked = 0;
     for (Py_ssize_t i = 0; i < n_ready; i++) {
         int64_t gate = ready[i];
         int64_t l1 = pp->gate_l1[gate];
@@ -1754,8 +1808,17 @@ expand_optimal(PyObject *self, PyObject *args)
             if (p1 < 0 || p2 < 0)
                 continue;
             mask = ((int64_t)1 << p1) | ((int64_t)1 << p2);
-            if (pp->dist_flat[p1 * P + p2] != 1)
+            int64_t d = pp->dist_flat[p1 * P + p2];
+            if (d != 1) {
+                blocked |= mask;
+                if (d > 1) {
+                    blocked_p1[n_blocked] = p1;
+                    blocked_p2[n_blocked] = p2;
+                    n_blocked++;
+                }
                 continue;
+            }
+            protected_mask |= mask;
             if (busy & mask)
                 continue;
         } else {
@@ -1772,6 +1835,7 @@ expand_optimal(PyObject *self, PyObject *args)
         ctx.act_mask[ctx.n_act] = mask;
         ctx.n_act++;
     }
+    Py_ssize_t n_gates = ctx.n_act;
     /* --- active-SWAP mask (problem.active_swap_mask) ----------------- */
     int64_t active_mask = -1;
     if (active_only) {
@@ -1842,11 +1906,55 @@ expand_optimal(PyObject *self, PyObject *args)
             restricted++;
             continue;
         }
+        if (frontier_only && !(blocked & mask))
+            continue;
+        if (protect && (protected_mask & mask))
+            continue;
         ctx.act_swap[ctx.n_act] = 1;
         ctx.act_a[ctx.n_act] = p;
         ctx.act_b[ctx.n_act] = q;
         ctx.act_mask[ctx.n_act] = mask;
         ctx.n_act++;
+    }
+
+    /* --- candidate pool (max_candidate_swaps) ------------------------ */
+    Py_ssize_t n_swaps = ctx.n_act - n_gates;
+    if (max_candidates >= 0 && n_swaps > max_candidates) {
+        /* gain: summed distance drop over the blocked frontier pairs */
+        for (Py_ssize_t i = n_gates; i < ctx.n_act; i++) {
+            int64_t p = ctx.act_a[i], q = ctx.act_b[i];
+            int64_t g = 0;
+            for (Py_ssize_t k = 0; k < n_blocked; k++) {
+                int64_t p1 = blocked_p1[k], p2 = blocked_p2[k];
+                int64_t a1 = p1 == p ? q : (p1 == q ? p : p1);
+                int64_t a2 = p2 == p ? q : (p2 == q ? p : p2);
+                g += pp->dist_flat[p1 * P + p2] - pp->dist_flat[a1 * P + a2];
+            }
+            gain[i] = g;
+        }
+        /* stable insertion sort by (-gain, p, q): sorted(key=(-gain, a)) */
+        for (Py_ssize_t i = n_gates + 1; i < ctx.n_act; i++) {
+            int64_t g = gain[i], p = ctx.act_a[i], q = ctx.act_b[i];
+            int64_t m = ctx.act_mask[i];
+            Py_ssize_t j = i;
+            while (j > n_gates
+                   && (gain[j - 1] < g
+                       || (gain[j - 1] == g
+                           && (ctx.act_a[j - 1] > p
+                               || (ctx.act_a[j - 1] == p
+                                   && ctx.act_b[j - 1] > q))))) {
+                gain[j] = gain[j - 1];
+                ctx.act_a[j] = ctx.act_a[j - 1];
+                ctx.act_b[j] = ctx.act_b[j - 1];
+                ctx.act_mask[j] = ctx.act_mask[j - 1];
+                j--;
+            }
+            gain[j] = g;
+            ctx.act_a[j] = p;
+            ctx.act_b[j] = q;
+            ctx.act_mask[j] = m;
+        }
+        ctx.n_act = n_gates + max_candidates;
     }
 
     /* --- python action tuples, freshness, all_startable -------------- */
@@ -1890,13 +1998,22 @@ expand_optimal(PyObject *self, PyObject *args)
     ctx.children = PyList_New(0);
     if (ctx.children == NULL)
         goto fail;
-    if (ctx.n_inflight > 0 && apply_chosen(&ctx, 0, 0) < 0)
+    ctx.allow_empty = ctx.n_inflight > 0;
+    if (enumerate_sets(&ctx, greedy, n_gates) < 0)
         goto fail;
-    if (recurse_subsets(&ctx, 0, 0, 0, 0) < 0)
-        goto fail;
+    if (PyList_GET_SIZE(ctx.children) == 0 && ctx.n_act > 0) {
+        /* Every set was redundant against the parent's startable record.
+         * The optimal search's siblings cover those schedules, but a
+         * bounded-queue search may have trimmed them: regenerate every
+         * non-empty set as if all actions were fresh, so the node is
+         * never a dead end. */
+        memset(ctx.act_fresh, 1, (size_t)ctx.n_act);
+        ctx.allow_empty = 0;
+        if (enumerate_sets(&ctx, greedy, n_gates) < 0)
+            goto fail;
+    }
 
-    result = Py_BuildValue("(OLO)", ctx.children, restricted,
-                           ctx.n_act ? Py_True : Py_False);
+    result = Py_BuildValue("(OL)", ctx.children, restricted);
     /* fall through to cleanup; result may be NULL on BuildValue failure */
 
 fail:
@@ -1940,8 +2057,8 @@ static PyMethodDef module_methods[] = {
      "Dominance check between two Entry objects."},
     {"admit_scan", admit_scan, METH_VARARGS,
      "Whole StateFilter.admit() bucket scan."},
-    {"expand", expand_optimal, METH_VARARGS,
-     "Optimal-mode node expansion: (children, restricted, has_startable)."},
+    {"expand", expand_node, METH_VARARGS,
+     "Node expansion under an ExpansionConfig: (children, restricted)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -10,7 +10,11 @@ capsule, cached on the problem object), and the pending-gate rows per
 ``ptr`` are packed into a reusable bytes buffer mirroring the
 ``problem.pending_rows`` cache.  Windowed evaluation (the practical
 mapper) runs the C ``windowed`` scan the same way, over the
-``problem.window_rows`` rows packed once per ``(window, ptr)``.
+``problem.window_rows`` rows packed once per ``(window, ptr)``.  Node
+expansion runs the C expander for every expansion config — the exact
+mapper's optimal modes and the practical mapper's greedy mode — and
+falls back to the python reference expander only for architectures
+beyond its int64 qubit masks or its action-stack bound.
 """
 
 from __future__ import annotations
@@ -18,12 +22,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional
 
-from ..expander import (
-    _action_mask,
-    _enumerate_masked,
-    apply_action_set,
-    startable_actions,
-)
 from ..problem import PROBLEM_CACHE_CAP, MappingProblem
 from ..state import SearchNode
 from .api import KernelBackend
@@ -143,60 +141,33 @@ class CompiledBackend(KernelBackend):
         config,
         counters: Optional[Dict[str, int]] = None,
     ) -> List[SearchNode]:
-        # The C expander mirrors exactly the optimal-mode path: plain
-        # subset enumeration with the redundancy rule fused in, no
-        # greedy/frontier/protection restrictions, no SWAP budget.  It
-        # also packs qubit sets into int64 masks and bounds its action
-        # stack, hence the size gates.
+        # The C expander runs every ExpansionConfig (optimal and greedy
+        # modes, redundancy fallback included).  It packs qubit sets into
+        # int64 masks and bounds its action stack, hence the size gates.
         if (
-            config.greedy_gates
-            or config.frontier_swaps_only
-            or config.protect_satisfied_frontier
-            or config.max_swaps_per_step is not None
-            or config.max_candidate_swaps is not None
-            or problem.num_physical >= 63
+            problem.num_physical >= 63
             or problem.num_logical + len(problem.edges) > 160
         ):
             return super().expand(problem, node, config, counters=counters)
-        children, restricted, has_startable = self._ck.expand(
+        active = config.active_swaps_only
+        max_swaps = config.max_swaps_per_step
+        max_candidates = config.max_candidate_swaps
+        children, restricted = self._ck.expand(
             self._packed(problem),
             SearchNode,
             node,
-            self._rows(problem, node.ptr),
-            1 if config.active_swaps_only else 0,
+            self._rows(problem, node.ptr) if active else b"",
+            active,
+            config.greedy_gates,
+            config.frontier_swaps_only,
+            config.protect_satisfied_frontier,
+            -1 if max_swaps is None else max_swaps,
+            -1 if max_candidates is None else max_candidates,
         )
         if restricted and counters is not None:
             counters["swaps_restricted"] = (
                 counters.get("swaps_restricted", 0) + restricted
             )
-        if not children and has_startable:
-            # Redundancy fallback (see expander.expand): regenerate with
-            # every action treated as fresh so the node is not a dead
-            # end.  Rare — only bounded-queue searches reach it — so the
-            # python path is fine.  ``counters=None``: the C call above
-            # already accounted the restricted SWAPs.
-            gates, swaps = startable_actions(problem, node, config, None)
-            all_startable = frozenset(gates) | frozenset(swaps)
-            parent_eff = node.mapping_after_swaps()
-            startable_pairs = [
-                (a, _action_mask(problem, node, a))
-                for a in list(gates) + list(swaps)
-            ]
-            masks = dict(startable_pairs)
-            fallback_sets = [
-                s for s, _m in _enumerate_masked(
-                    [(a, m, True) for a, m in startable_pairs],
-                    config.max_swaps_per_step, frozenset(),
-                    include_empty=False,
-                )
-            ]
-            for action_set in fallback_sets:
-                child = apply_action_set(
-                    problem, node, action_set, all_startable,
-                    masks=masks, parent_eff=parent_eff,
-                )
-                if child is not None:
-                    children.append(child)
         return children
 
     def profile(self, problem: MappingProblem, node: SearchNode):

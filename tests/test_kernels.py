@@ -8,6 +8,9 @@ this interpreter (the CI matrix runs the suite with and without the C
 extension built).
 """
 
+import copy
+from dataclasses import replace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +21,13 @@ from repro.benchcircuits import large_circuit
 from repro.circuit import Circuit, uniform_latency
 from repro.circuit.latency import TABLE1_LATENCY
 from repro.core import HeuristicMapper, OptimalMapper
+from repro.core.expander import (
+    OPTIMAL_EXPANSION,
+    PRUNED_OPTIMAL_EXPANSION,
+    _blocked_frontier_pairs,
+    startable_actions,
+)
+from repro.core.expander import expand as reference_expand
 from repro.core.heuristic import (
     HeuristicMemo,
     _heuristic_cost_reference,
@@ -31,7 +41,7 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.api import KernelBackend
 from repro.core.problem import MappingProblem
-from repro.core.state import K_SWAP
+from repro.core.state import K_SWAP, SearchNode
 from repro.obs.schema import STAT_KERNEL_BACKEND
 
 from .test_heuristic import make_node
@@ -417,6 +427,218 @@ class TestWindowedMapperNodes:
             "unplaced", "d2", "d3+",
         }
         _assert_windowed_parity(problem, nodes, window)
+
+
+# ---------------------------------------------------------------------------
+# Node expansion, child by child, on the nodes real runs expand
+# ---------------------------------------------------------------------------
+
+#: The SearchNode slots the expander sets, compared child by child (order
+#: matters: it feeds the heap tie-break and the admit order).
+_CHILD_SLOTS = (
+    "time", "pos", "inv", "ptr", "started", "inflight", "last_swaps",
+    "prev_startable", "actions", "_eff", "_fkey",
+)
+
+#: The three configurations the mappers expand under.
+_EXPAND_CONFIGS = {
+    "optimal": OPTIMAL_EXPANSION,
+    "pruned": PRUNED_OPTIMAL_EXPANSION,
+    "greedy": HeuristicMapper(lnn(2)).config,
+}
+
+
+class _ExpandRecorder(KernelBackend):
+    """Pure backend that keeps every node the search expands."""
+
+    name = "expand-recorder"
+
+    def __init__(self):
+        self.problem = None
+        self.nodes = []
+
+    def expand(self, problem, node, config, counters=None):
+        self.problem = problem
+        self.nodes.append(node)
+        return super().expand(problem, node, config, counters=counters)
+
+
+def _expanded_nodes(mapper_cls, circuit, arch, latency, **kwargs):
+    """``(problem, nodes)``: every node a mapper run expanded."""
+    recorder = _ExpandRecorder()
+    mapper_cls(arch, latency, kernel=recorder, **kwargs).map(circuit)
+    return recorder.problem, recorder.nodes
+
+
+def _assert_expand_parity(problem, nodes, configs):
+    compiled = get_backend("compiled")
+    for node in nodes:
+        for config in configs:
+            want_counters, got_counters = {}, {}
+            want = reference_expand(problem, node, config, want_counters)
+            got = compiled.expand(problem, node, config, got_counters)
+            assert [
+                tuple(getattr(child, slot) for slot in _CHILD_SLOTS)
+                for child in got
+            ] == [
+                tuple(getattr(child, slot) for slot in _CHILD_SLOTS)
+                for child in want
+            ], (config, node.pos, node.ptr)
+            assert all(child.parent is node for child in got)
+            assert got_counters == want_counters
+
+
+def _with_everything_startable(problem, node, config):
+    """A copy of ``node`` whose ``prev_startable`` covers every action it
+    could start: every set is redundant, so only the fallback yields."""
+    gates, swaps = startable_actions(problem, node, config)
+    twin = copy.copy(node)
+    twin.prev_startable = frozenset(gates) | frozenset(swaps)
+    return twin
+
+
+def _expand_cases(problem, node, config):
+    """Which expander branches ``node`` reaches under ``config``."""
+    cases = set()
+    if -1 in node.pos:
+        cases.add("unplaced")
+    if any(kind == K_SWAP for _f, kind, _a, _b in node.inflight):
+        cases.add("inflight_swap")
+    gates, swaps = startable_actions(problem, node, config)
+    startable = frozenset(gates) | frozenset(swaps)
+    if startable and not node.inflight and startable <= node.prev_startable:
+        cases.add("fallback")
+    cap = config.max_candidate_swaps
+    if cap is not None:
+        _gates, pool = startable_actions(
+            problem, node, replace(config, max_candidate_swaps=None)
+        )
+        if len(pool) > cap:
+            pairs = _blocked_frontier_pairs(problem, node)
+            dist = problem.dist
+
+            def gain(action):
+                _, p, q = action
+                swap = {p: q, q: p}
+                return sum(
+                    dist[a][b] - dist[swap.get(a, a)][swap.get(b, b)]
+                    for a, b in pairs
+                )
+
+            ranked = sorted(gain(action) for action in pool)[::-1]
+            if ranked[cap - 1] == ranked[cap]:
+                cases.add("pool_tie")  # the (p, q) tie-break decides
+    if config.max_swaps_per_step is not None:
+        uncapped = replace(config, max_swaps_per_step=None)
+        if len(reference_expand(problem, node, uncapped)) > len(
+            reference_expand(problem, node, config)
+        ):
+            cases.add("swap_cap")
+    return cases
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="C kernel not built")
+class TestExpandParity:
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(circuit=circuits(), latency=latencies(), data=st.data())
+    def test_optimal_run_nodes(self, circuit, latency, data):
+        search_initial = data.draw(st.booleans())
+        problem, nodes = _expanded_nodes(
+            OptimalMapper, circuit, lnn(circuit.num_qubits), latency,
+            search_initial_mapping=search_initial,
+        )
+        _assert_expand_parity(problem, nodes, _EXPAND_CONFIGS.values())
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(circuit=circuits(max_qubits=5, max_gates=10), latency=latencies())
+    def test_heuristic_run_nodes(self, circuit, latency):
+        problem, nodes = _expanded_nodes(
+            HeuristicMapper, circuit, grid(2, 3), latency
+        )
+        _assert_expand_parity(problem, nodes, _EXPAND_CONFIGS.values())
+
+    def test_fixed_runs_reach_every_branch(self):
+        # Fixed instances proving the node supply reaches each branch the
+        # greedy config adds: a late-placed qubit, SWAP latency 3 for
+        # in-flight SWAPs, and Tokyo's degree-6 qubits for a candidate
+        # pool past both caps (small caps make ties at the cut common).
+        circuit = Circuit(9)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 5),
+                     (3, 7), (2, 6), (0, 4), (8, 0), (5, 6), (1, 7),
+                     (8, 3)):
+            circuit.cx(a, b)
+            circuit.h(b)
+        config = HeuristicMapper(
+            lnn(2), max_swaps_per_step=1, max_candidate_swaps=3
+        ).config
+        problem, nodes = _expanded_nodes(
+            HeuristicMapper, circuit, by_name("tokyo"),
+            uniform_latency(1, 3), max_swaps_per_step=1,
+            max_candidate_swaps=3,
+        )
+        nodes += [
+            _with_everything_startable(problem, node, config)
+            for node in nodes
+            if not node.inflight
+        ][:5]
+        reached = set()
+        for node in nodes:
+            reached |= _expand_cases(problem, node, config)
+        assert reached == {
+            "unplaced", "inflight_swap", "fallback", "pool_tie", "swap_cap",
+        }
+        _assert_expand_parity(
+            problem, nodes, (config, _EXPAND_CONFIGS["greedy"])
+        )
+
+    def test_fallback_under_every_config(self):
+        circuit = Circuit(4).cx(0, 3).cx(1, 2).h(1).cx(0, 2)
+        problem, nodes = _expanded_nodes(
+            OptimalMapper, circuit, lnn(4), uniform_latency(1, 3)
+        )
+        for config in _EXPAND_CONFIGS.values():
+            twins = [
+                _with_everything_startable(problem, node, config)
+                for node in nodes
+                if not node.inflight
+            ]
+            assert any(
+                "fallback" in _expand_cases(problem, twin, config)
+                for twin in twins
+            )
+            _assert_expand_parity(problem, twins, (config,))
+
+    def test_unplaced_frontier_operand(self):
+        # The practical mapper places frontier operands before expanding;
+        # a hand-built node with one left unplaced must still skip that
+        # gate (neither startable nor a blocked pair) in both expanders,
+        # while the blocked cx(0, 3) draws the frontier SWAPs.
+        problem = MappingProblem(
+            Circuit(4).cx(1, 2).cx(0, 3), lnn(5), uniform_latency(1, 3)
+        )
+        node = SearchNode(
+            time=0, pos=(0, -1, 2, 3), inv=(0, -1, 2, 3, -1),
+            ptr=(0, 0, 0, 0), started=0, inflight=(),
+            last_swaps=frozenset(), prev_startable=frozenset(),
+            parent=None, actions=(),
+        )
+        greedy = _EXPAND_CONFIGS["greedy"]
+        assert "unplaced" in _expand_cases(problem, node, greedy)
+        drawn = {
+            action
+            for child in reference_expand(problem, node, greedy)
+            for action in child.actions
+        }
+        assert drawn == {("s", 0, 1), ("s", 2, 3), ("s", 3, 4)}
+        _assert_expand_parity(problem, [node], _EXPAND_CONFIGS.values())
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C kernel not built")
