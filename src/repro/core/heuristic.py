@@ -42,7 +42,7 @@ formulation for cross-checking):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from .problem import MappingProblem
@@ -167,6 +167,37 @@ class HeuristicMemo:
         return len(self.table)
 
 
+def count_evaluations(
+    problem: MappingProblem,
+    nodes: Sequence[SearchNode],
+    window: Optional[int],
+    metrics: MetricsRegistry,
+) -> None:
+    """Per-evaluation ``heuristic.*`` counters for ``nodes``.
+
+    Each node stands for one scan the memo did not answer: it adds to
+    ``heuristic.calls``, observes its pending-gate workload in
+    ``heuristic.pending_gates`` and, for a windowed scan whose look-ahead
+    was capped, adds to ``heuristic.window_truncated``.  The values come
+    from the problem's cached row tables, so counting never rescans and
+    every backend's batch scorer can count without running this module's
+    scan.
+    """
+    calls = metrics.counter("heuristic.calls")
+    pending = metrics.histogram("heuristic.pending_gates")
+    if window is None:
+        for node in nodes:
+            calls.inc()
+            pending.observe(problem.num_pending_gates(node.ptr))
+        return
+    for node in nodes:
+        rows, truncated = problem.window_rows(window, node.ptr)
+        if truncated:
+            metrics.counter("heuristic.window_truncated").inc()
+        calls.inc()
+        pending.observe(len(rows))
+
+
 def heuristic_cost(
     problem: MappingProblem,
     node: SearchNode,
@@ -212,9 +243,11 @@ def heuristic_cost(
         memo.misses += 1
     else:
         key = None
+    if metrics is not None:
+        count_evaluations(problem, (node,), window, metrics)
 
     if window is not None:
-        h = _windowed_cost(problem, node, window, swap_aware, metrics)
+        h = _windowed_cost(problem, node, window, swap_aware)
         if memo is not None:
             memo.table[key] = h
         return h
@@ -253,12 +286,6 @@ def heuristic_cost(
         pos_after = node.mapping_after_swaps()[0]
     else:
         pos_after = node.pos
-
-    if metrics is not None:
-        metrics.counter("heuristic.calls").inc()
-        metrics.histogram("heuristic.pending_gates").observe(
-            problem.num_pending_gates(ptr)
-        )
 
     # Pending two-qubit gate rows in program order, cached per ptr.  The
     # loop comes in specialized variants (singles folding and the
@@ -397,7 +424,6 @@ def _windowed_cost(
     node: SearchNode,
     window: int,
     swap_aware: bool,
-    metrics: Optional[MetricsRegistry],
 ) -> int:
     """Truncated-lookahead cost (practical mapper, Section 6.2).
 
@@ -455,12 +481,7 @@ def _windowed_cost(
     else:
         pos_after = node.pos
 
-    rows, truncated = problem.window_rows(window, node.ptr)
-    if metrics is not None:
-        if truncated:
-            metrics.counter("heuristic.window_truncated").inc()
-        metrics.counter("heuristic.calls").inc()
-        metrics.histogram("heuristic.pending_gates").observe(len(rows))
+    rows = problem.window_rows(window, node.ptr)[0]
 
     split_lut = problem.split_lut
     for l1, l2, length in rows:
