@@ -58,7 +58,7 @@ from repro.arch import grid, lnn
 from repro.circuit import uniform_latency
 from repro.circuit.generators import qft_skeleton, random_circuit
 from repro.core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
-from repro.core.kernels import resolve_backend
+from repro.core.kernels import BACKEND_NAMES, resolve_backend
 
 #: Throughput of the QFT-8/LNN exact microbench measured immediately
 #: before the hot-path overhaul landed, with this script's methodology
@@ -384,8 +384,7 @@ def main(argv=None) -> int:
              "reduction disabled (the 'before' trajectory point)",
     )
     parser.add_argument(
-        "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
+        "--kernel", default=None, choices=BACKEND_NAMES,
         help="kernel backend for every suite (default: best available); "
              "the resolved backend is recorded per trajectory entry and "
              "bench-trend only compares entries of the same backend",

@@ -8,7 +8,7 @@ This file additionally declares the optional compiled kernel extension
 (the ``compiled`` backend of ``repro.core.kernels``).  The build is
 ``optional``: on hosts without a C toolchain the failure is a warning
 and the package installs pure-python — the kernel registry then falls
-back to the ``vector`` (numpy) or ``pure`` backend at runtime.  Build
+back to the ``pure`` backend at runtime.  Build
 in place for development with::
 
     python setup.py build_ext --inplace

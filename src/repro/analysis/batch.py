@@ -8,19 +8,15 @@ a mapper exception, or a crashed worker process each produce an error
 record (with exception type and truncated traceback) for the affected
 task instead of poisoning the whole batch.
 
-Two schedulers are available:
+Work is distributed by a **work-stealing scheduler**: a
+coordinator-side task deque, drained cost-descending (predicted from
+gate count × qubit count, so the straggler tail shrinks) through
+one-task leases to a pool of dedicated worker processes.  A worker that
+dies only affects its own leased task, which is retried on a
+replacement worker up to ``orphan_retries`` times before it becomes an
+error record.
 
-* ``scheduler="stealing"`` (default) — a coordinator-side task deque,
-  drained cost-descending (predicted from gate count × qubit count, so
-  the straggler tail shrinks) through one-task leases to a pool of
-  dedicated worker processes.  A worker that dies only affects its own
-  leased task, which is retried on a replacement worker up to
-  ``orphan_retries`` times before it becomes an error record.
-* ``scheduler="static"`` — the legacy up-front chunking over a
-  ``ProcessPoolExecutor``, kept as the measurable baseline (a dead
-  worker fails its whole chunk).
-
-Both schedulers (and the in-process ``max_workers=1`` path) can install
+The pool workers (and the in-process ``max_workers=1`` path) can install
 a per-process **architecture warm cache** (``warm_cache=True``, see
 :mod:`repro.core.warmcache`): tasks targeting the same device share the
 distance matrix, automorphism group, SWAP-split LUT, heuristic memo and
@@ -298,47 +294,6 @@ def _emit_worker_task(
     if warm_pool is not None:
         payload["warm_cache"] = warm_pool.counters()
     telemetry.sink.emit(payload)
-
-
-#: Per-process warm-cache pool for *static-chunk* pool workers (their
-#: lifetime is one ``map_many`` call, so this is per-batch state).
-_CHUNK_WARM_POOL: Optional[WarmCachePool] = None
-
-
-def _run_chunk(
-    chunk: List[BatchTask],
-    max_nodes: Optional[int],
-    max_seconds: Optional[float],
-    keep_results: bool,
-    validate: bool,
-    telemetry_spec: Optional[TelemetrySpec] = None,
-    submitted_ts: Optional[float] = None,
-    warm_cache: bool = False,
-) -> List[BatchRecord]:
-    """Pool worker: run a chunk of tasks sequentially in one process.
-
-    ``submitted_ts`` is the coordinator's wall-clock submission time;
-    each task's queue wait is measured against it, so later tasks in a
-    chunk correctly count their chunk-mates' run time as waiting.
-    """
-    global _CHUNK_WARM_POOL
-    telemetry = _worker_telemetry(telemetry_spec)
-    warm_pool = None
-    if warm_cache:
-        if _CHUNK_WARM_POOL is None:
-            _CHUNK_WARM_POOL = WarmCachePool()
-        warm_pool = _CHUNK_WARM_POOL
-    records = []
-    for task in chunk:
-        queue_wait = (
-            time.time() - submitted_ts if submitted_ts is not None else None
-        )
-        record = _run_task(task, max_nodes, max_seconds, keep_results,
-                           validate, warm_pool=warm_pool)
-        _emit_worker_task(telemetry, record, queue_wait,
-                          warm_pool=warm_pool)
-        records.append(record)
-    return records
 
 
 def _default_workers() -> int:
@@ -639,13 +594,11 @@ def map_many(
     tasks: Sequence[BatchTask],
     *,
     max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     max_nodes: Optional[int] = None,
     max_seconds: Optional[float] = None,
     keep_results: bool = True,
     validate: bool = True,
     telemetry_spec: Optional[TelemetrySpec] = None,
-    scheduler: str = "stealing",
     warm_cache: bool = True,
     orphan_retries: int = 1,
 ) -> List[BatchRecord]:
@@ -655,11 +608,7 @@ def map_many(
         tasks: Work items; results come back in this order.
         max_workers: Pool size; ``None`` means the CPU count.  A resolved
             value of 1 executes in-process without a pool — the
-            bit-identity reference path for both schedulers.
-        chunk_size: Tasks per pool submission on the *static* scheduler;
-            ``None`` picks a size that gives each worker ~4 chunks while
-            never submitting fewer chunks than workers.  Ignored by the
-            stealing scheduler (its leases are always one task).
+            bit-identity reference path for the stealing scheduler.
         max_nodes: Optional per-task node budget, applied to mappers that
             have a ``max_nodes`` attribute (the exact search).
         max_seconds: Optional per-task wall-clock budget, likewise.
@@ -672,16 +621,12 @@ def map_many(
             ``telemetry_spec.directory`` and the coordinator writes the
             merged ``fleet.json`` rollup before returning.  Works on the
             in-process path too (one shard).
-        scheduler: ``"stealing"`` (default; coordinator-dispatched
-            one-task leases, cost-descending, per-task crash containment
-            with orphan retry) or ``"static"`` (legacy up-front chunking
-            over a process pool; a dead worker fails its whole chunk).
         warm_cache: Share per-architecture search artifacts across tasks
             through :mod:`repro.core.warmcache`.  Bit-identical results;
             hit/miss/evict counters land in the fleet rollup.
-        orphan_retries: Stealing scheduler only — how many times a task
-            orphaned by a dead worker is retried on a replacement before
-            it becomes a ``WorkerCrashed`` error record.
+        orphan_retries: How many times a task orphaned by a dead worker
+            is retried on a replacement before it becomes a
+            ``WorkerCrashed`` error record.
 
     Returns:
         One :class:`BatchRecord` per task, submission-ordered.
@@ -689,13 +634,9 @@ def map_many(
     tasks = list(tasks)
     if not tasks:
         return []
-    if scheduler not in ("stealing", "static"):
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}: expected 'stealing' or 'static'"
-        )
     workers = _default_workers() if max_workers is None else max_workers
     _write_fleet_meta(telemetry_spec, total_tasks=len(tasks),
-                      workers=workers, scheduler=scheduler)
+                      workers=workers, scheduler="stealing")
     if workers <= 1:
         telemetry = _worker_telemetry(telemetry_spec)
         warm_pool = WarmCachePool() if warm_cache else None
@@ -712,45 +653,10 @@ def map_many(
         return records
 
     _reject_unpicklable_telemetry(tasks)
-    if scheduler == "stealing":
-        records = _map_many_stealing(
-            tasks, workers, max_nodes, max_seconds, keep_results, validate,
-            telemetry_spec, warm_cache, orphan_retries,
-        )
-        _write_rollup(telemetry_spec)
-        return records
-
-    if chunk_size is None:
-        # ~4 chunks per worker for load balancing — but never chunks so
-        # large that there are fewer submissions than workers, which
-        # would leave workers idle for the whole batch.
-        chunk_size = max(1, len(tasks) // (workers * 4) or 1)
-        chunk_size = min(chunk_size, max(1, len(tasks) // workers))
-    chunks = [
-        tasks[i: i + chunk_size] for i in range(0, len(tasks), chunk_size)
-    ]
-    records: List[BatchRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _run_chunk, chunk, max_nodes, max_seconds, keep_results,
-                validate, telemetry_spec, time.time(), warm_cache,
-            )
-            for chunk in chunks
-        ]
-        for chunk, future in zip(chunks, futures):
-            try:
-                records.extend(future.result())
-            except Exception as exc:  # worker process died (or pickle blew)
-                records.extend(
-                    BatchRecord(
-                        label=task.label,
-                        ok=False,
-                        error=f"worker failed: {type(exc).__name__}: {exc}",
-                        error_type=type(exc).__name__,
-                    )
-                    for task in chunk
-                )
+    records = _map_many_stealing(
+        tasks, workers, max_nodes, max_seconds, keep_results, validate,
+        telemetry_spec, warm_cache, orphan_retries,
+    )
     _write_rollup(telemetry_spec)
     return records
 

@@ -16,16 +16,16 @@ Three pieces:
   times, shuffled into request order.  Repetition is the point — it is
   what the per-worker architecture warm cache (see
   :mod:`repro.core.warmcache`) exists to exploit.
-* :func:`run_corpus` — execute the stream under a chosen scheduler /
-  warm-cache configuration and return a throughput summary (wall
+* :func:`run_corpus` — execute the stream on the work-stealing
+  scheduler, warm cache on or off, and return a throughput summary (wall
   seconds, circuits/min, queue-wait fraction and warm-cache hit rate
   from the fleet rollup when telemetry is on).
 * :func:`append_corpus_trajectory` — record ``corpus_fleet`` suites in
   ``BENCH_search.json`` so ``repro bench-trend --check`` gates fleet
   throughput alongside single-search node counts.
 
-Every configuration routes identically: scheduler and warm cache change
-*where and how fast* each circuit is mapped, never the mapping — the
+Every configuration routes identically: worker count and warm cache
+change *where and how fast* each circuit is mapped, never the mapping — the
 ``repro corpus --verify-identity`` path re-runs the stream sequentially
 and diffs depth / swap / node counts per request.
 """
@@ -180,7 +180,6 @@ def run_corpus(
     mapper_factory: Callable[[], object],
     *,
     workers: int = 4,
-    scheduler: str = "stealing",
     warm_cache: bool = True,
     telemetry_dir: Optional[str] = None,
     max_nodes: Optional[int] = None,
@@ -212,7 +211,6 @@ def run_corpus(
         max_seconds=max_seconds,
         keep_results=False,
         telemetry_spec=telemetry_spec,
-        scheduler=scheduler,
         warm_cache=warm_cache,
     )
     wall = time.perf_counter() - started
@@ -231,7 +229,7 @@ def run_corpus(
         warm_hit_rate = fleet.get("warm_cache_hit_rate")
     distinct = len({label.rsplit("@", 1)[0] for label, _ in stream})
     return {
-        "scheduler": scheduler,
+        "scheduler": "stealing",
         "warm_cache": warm_cache,
         "workers": workers,
         "circuits": len(records),
@@ -299,9 +297,9 @@ def identity_mismatches(run_a: Dict, run_b: Dict) -> List[str]:
 BENCH_SCHEMA = "repro.bench_search/2"
 
 
-def corpus_suite(summary: Dict, name_suffix: str = "") -> Tuple[str, Dict]:
+def corpus_suite(summary: Dict) -> Tuple[str, Dict]:
     """One ``corpus_fleet`` suite entry from a :func:`run_corpus` summary."""
-    name = f"corpus_fleet{name_suffix}"
+    name = "corpus_fleet"
     suite = {
         "kind": "corpus-fleet",
         "scheduler": summary["scheduler"],

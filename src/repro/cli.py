@@ -12,8 +12,8 @@ Commands:
   or Prometheus text exposition format;
 * ``corpus`` — corpus-scale throughput sweep: map a seeded benchmark
   request stream across the worker pool and report circuits/min
-  (optionally vs the static-chunk cold-cache baseline, with the
-  ``corpus_fleet`` suite recorded for ``bench-trend --check``);
+  (optionally recording the ``corpus_fleet`` suite for
+  ``bench-trend --check``);
 * ``benchmarks`` — list the regenerable benchmark names;
 * ``bench-trend`` — tabulate the recorded search-perf trajectory
   (``benchmarks/results/BENCH_search.json``); ``--check`` turns it
@@ -63,6 +63,7 @@ from .circuit import (
 )
 from .circuit.generators import qft_skeleton, random_circuit
 from .core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
+from .core.kernels import BACKEND_NAMES, PROBE_ORDER
 from .obs import JsonlSink, Telemetry, TraceRecorder
 from .verify import validate_result
 
@@ -546,7 +547,9 @@ def _cmd_map_batch(args) -> int:
         "search_initial": bool(args.search_initial),
         "seed": args.seed,
         "workers": args.workers,
-        "scheduler": args.scheduler,
+        # The only scheduler; the key stays so config fingerprints
+        # match earlier ledger runs.
+        "scheduler": "stealing",
         "warm_cache": not args.no_warm_cache,
         "max_nodes": args.max_nodes,
         "budget": args.budget,
@@ -573,7 +576,6 @@ def _cmd_map_batch(args) -> int:
         max_seconds=args.budget,
         keep_results=False,
         telemetry_spec=telemetry_spec,
-        scheduler=args.scheduler,
         warm_cache=not args.no_warm_cache,
     )
     if resumed:
@@ -711,21 +713,18 @@ def _cmd_corpus(args) -> int:
         "mapper": args.mapper,
         "kernel": getattr(args, "kernel", None),
         "workers": args.workers,
-        "scheduler": args.scheduler,
+        "scheduler": "stealing",  # see map-batch: fingerprint continuity
         "warm_cache": warm,
         "max_nodes": args.max_nodes,
         "budget": args.budget,
     })
     if run is not None and not args.telemetry_dir:
         args.telemetry_dir = run.artifact_path("fleet")
-    main_label = (
-        f"{args.scheduler}+{'warm' if warm else 'cold'}"
-    )
+    main_label = f"stealing+{'warm' if warm else 'cold'}"
     summary = run_corpus(
         stream,
         mapper_factory,
         workers=args.workers,
-        scheduler=args.scheduler,
         warm_cache=warm,
         telemetry_dir=args.telemetry_dir,
         max_nodes=args.max_nodes,
@@ -733,47 +732,22 @@ def _cmd_corpus(args) -> int:
         run_id=run.run_id if run is not None else None,
     )
 
-    def _report(label: str, run: dict) -> None:
-        extras = ""
-        if run.get("queue_wait_frac") is not None:
-            extras += f", queue-wait {run['queue_wait_frac']:.1%}"
-        if run.get("warm_cache_hit_rate") is not None:
-            extras += f", warm-hit {run['warm_cache_hit_rate']:.1%}"
-        print(
-            f"{label:14s}: {run['ok']}/{run['circuits']} ok, "
-            f"{run['wall_seconds']:.1f}s wall, "
-            f"{run['circuits_per_min']:.1f} circuits/min{extras}"
-        )
-
-    _report(main_label, summary)
+    extras = ""
+    if summary.get("queue_wait_frac") is not None:
+        extras += f", queue-wait {summary['queue_wait_frac']:.1%}"
+    if summary.get("warm_cache_hit_rate") is not None:
+        extras += f", warm-hit {summary['warm_cache_hit_rate']:.1%}"
+    print(
+        f"{main_label:14s}: {summary['ok']}/{summary['circuits']} ok, "
+        f"{summary['wall_seconds']:.1f}s wall, "
+        f"{summary['circuits_per_min']:.1f} circuits/min{extras}"
+    )
     for rec in summary["records"]:
         if not rec["ok"]:
             print(f"  FAILED {rec['label']}: {rec['error']}")
 
-    suites = {corpus_suite(summary)[0]: corpus_suite(summary)[1]}
-    baseline = None
-    if args.baseline:
-        baseline = run_corpus(
-            stream,
-            mapper_factory,
-            workers=args.workers,
-            scheduler="static",
-            warm_cache=False,
-            telemetry_dir=None,  # keep baseline shards out of the rollup
-            max_nodes=args.max_nodes,
-            max_seconds=args.budget,
-        )
-        _report("static+cold", baseline)
-        if baseline["circuits_per_min"] > 0:
-            speedup = (
-                summary["circuits_per_min"] / baseline["circuits_per_min"]
-            )
-            print(f"{'speedup':14s}: {speedup:.2f}x circuits/min")
-            suites[corpus_suite(summary)[0]]["speedup_vs_static"] = round(
-                speedup, 4
-            )
-        name, suite = corpus_suite(baseline, "_static_baseline")
-        suites[name] = suite
+    name, suite = corpus_suite(summary)
+    suites = {name: suite}
 
     identity_failed = False
     if args.verify_identity:
@@ -781,14 +755,11 @@ def _cmd_corpus(args) -> int:
             stream,
             mapper_factory,
             workers=1,
-            scheduler=args.scheduler,
             warm_cache=warm,
             max_nodes=args.max_nodes,
             max_seconds=args.budget,
         )
         mismatches = identity_mismatches(summary, reference)
-        if baseline is not None:
-            mismatches += identity_mismatches(baseline, reference)
         if mismatches:
             identity_failed = True
             print(
@@ -798,9 +769,8 @@ def _cmd_corpus(args) -> int:
             for line in mismatches[:20]:
                 print(f"  {line}", file=sys.stderr)
         else:
-            checked = "all configurations" if baseline else main_label
             print(
-                f"{'identity':14s}: OK — {checked} bit-identical to the "
+                f"{'identity':14s}: OK — {main_label} bit-identical to the "
                 f"sequential reference"
             )
 
@@ -819,8 +789,6 @@ def _cmd_corpus(args) -> int:
             run.add_artifact("bench_json", args.bench_json)
     if args.json_out:
         payload = {"corpus": summary}
-        if baseline is not None:
-            payload["static_baseline"] = baseline
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote corpus report to {args.json_out}")
@@ -1139,6 +1107,14 @@ def _cmd_archs(_args) -> int:
     return 0
 
 
+def _add_kernel_flag(cmd) -> None:
+    cmd.add_argument(
+        "--kernel", default=None, choices=BACKEND_NAMES,
+        help="kernel backend for the search hot path (default: best "
+             f"available — {' > '.join(PROBE_ORDER)})",
+    )
+
+
 def _add_ledger_flag(cmd) -> None:
     cmd.add_argument(
         "--ledger-dir", default=None, metavar="DIR",
@@ -1235,12 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimal mode 2: fan prefix-root mappings out across this "
              "many worker processes (1 = sequential fan-out)",
     )
-    map_cmd.add_argument(
-        "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
-        help="kernel backend for the search hot path (default: best "
-             "available — compiled > vector > pure)",
-    )
+    _add_kernel_flag(map_cmd)
     map_cmd.add_argument("--seed", type=int, default=0)
     map_cmd.add_argument("--max-ops", type=int, default=60)
     map_cmd.add_argument("--timeline", action="store_true",
@@ -1349,12 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--search-initial", action="store_true",
         help="optimal mode 2: search the initial mapping too",
     )
-    batch_cmd.add_argument(
-        "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
-        help="kernel backend for the search hot path (default: best "
-             "available — compiled > vector > pure)",
-    )
+    _add_kernel_flag(batch_cmd)
     batch_cmd.add_argument("--seed", type=int, default=0)
     batch_cmd.add_argument("--json-out", default=None,
                            help="write the per-circuit report as JSON")
@@ -1362,12 +1328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="skip circuits already mapped successfully in the existing "
              "--json-out report; failed circuits re-run",
-    )
-    batch_cmd.add_argument(
-        "--scheduler", default="stealing",
-        choices=["stealing", "static"],
-        help="work distribution: per-task work-stealing leases (default) "
-             "or legacy up-front chunking",
     )
     batch_cmd.add_argument(
         "--no-warm-cache", action="store_true",
@@ -1423,18 +1383,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-process pool size (1 = in-process)",
     )
     corpus_cmd.add_argument(
-        "--scheduler", default="stealing",
-        choices=["stealing", "static"],
-        help="work distribution for the main run",
-    )
-    corpus_cmd.add_argument(
         "--no-warm-cache", action="store_true",
         help="disable the per-worker architecture warm cache",
-    )
-    corpus_cmd.add_argument(
-        "--baseline", action="store_true",
-        help="also run the static-chunk cold-cache baseline and report "
-             "the circuits/min speedup",
     )
     corpus_cmd.add_argument(
         "--verify-identity", action="store_true",
@@ -1447,11 +1397,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus_cmd.add_argument("--budget", type=float, default=None,
                             help="per-circuit wall-clock budget (s)")
-    corpus_cmd.add_argument(
-        "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
-        help="kernel backend for the search hot path",
-    )
+    _add_kernel_flag(corpus_cmd)
     corpus_cmd.add_argument(
         "--telemetry-dir", default=None, metavar="DIR",
         help="fleet telemetry shards + fleet.json for the main run "

@@ -461,9 +461,9 @@ class OptimalMapper:
         #: optimal depth, forced off for :meth:`find_all_optimal`.
         self.closed_dominance = closed_dominance
         self.telemetry = telemetry
-        #: Kernel backend name (``pure`` / ``vector`` / ``compiled``) or
-        #: ``None`` for the capability probe.  Stored as a string and
-        #: resolved lazily per search so mappers stay picklable for the
+        #: Kernel backend name (``pure`` / ``compiled``) or ``None`` for
+        #: the capability probe.  Stored as a string and resolved
+        #: lazily per search so mappers stay picklable for the
         #: process-pool fan-outs.
         self.kernel = kernel
         #: Cross-process incumbent bound handle

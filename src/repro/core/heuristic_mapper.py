@@ -131,11 +131,11 @@ class HeuristicMapper:
             never changes scores or node counts.
         telemetry: Optional observability context; ``None`` runs the
             same search with the null hook.
-        kernel: Kernel backend name (``pure``/``vector``/``compiled``) or
+        kernel: Kernel backend name (``pure``/``compiled``) or
             ``None`` for the auto-probe.  Expansion, state-filter
             admission and scoring go through the backend: children are
             scored by its windowed scan (C under ``compiled``, the python
-            scan under ``pure``/``vector``), bit-identical either way;
+            scan under ``pure``), bit-identical either way;
             ``compiled`` also expands the greedy config in C and admits
             through its fused C scan.
     """

@@ -1,21 +1,20 @@
 """Kernel backend registry and capability probe.
 
-Three interchangeable backends implement the hot-kernel API of
+Two interchangeable backends implement the hot-kernel API of
 :mod:`~repro.core.kernels.api`:
 
 ``pure``
-    The python reference — always available, bit-identical baseline.
-``vector``
-    numpy batch evaluation of expansion fan-outs (needs numpy; the
-    ``repro[fast]`` extra).
+    The python reference — always available, bit-identical baseline
+    that the parity tests compare against.
 ``compiled``
-    The optional C extension (``python setup.py build_ext --inplace``
-    or a binary wheel).
+    The C extension, built by ``pip install`` (or
+    ``python setup.py build_ext --inplace``) wherever a C toolchain is
+    present.
 
 :func:`resolve_backend` implements the selection policy: an explicit
 name wins, then the ``REPRO_KERNEL_BACKEND`` environment variable (the
 CI matrix hook), then the fastest available in probe order
-``compiled > vector > pure``.  Requesting an unavailable backend by
+``compiled > pure``.  Requesting an unavailable or unknown backend by
 name is an error, not a silent fallback — CI and benchmarks must never
 believe they measured a backend that didn't run.
 """
@@ -33,10 +32,10 @@ from .pure import PureBackend
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: Fallback order of the capability probe (fastest first).
-PROBE_ORDER = ("compiled", "vector", "pure")
+PROBE_ORDER = ("compiled", "pure")
 
 #: All recognized names, slowest first (CLI choices, docs).
-BACKEND_NAMES = ("pure", "vector", "compiled")
+BACKEND_NAMES = ("pure", "compiled")
 
 _instances: Dict[str, KernelBackend] = {}
 _failures: Dict[str, str] = {}
@@ -45,10 +44,6 @@ _failures: Dict[str, str] = {}
 def _construct(name: str) -> KernelBackend:
     if name == "pure":
         return PureBackend()
-    if name == "vector":
-        from .vector import VectorBackend
-
-        return VectorBackend()
     if name == "compiled":
         from .compiled import CompiledBackend
 

@@ -2,9 +2,9 @@
 
 The four innermost operations of the search — heuristic evaluation,
 filter group hashing, dominance comparison, and open-heap push/pop — are
-isolated behind this narrow API so they can be swapped between a pure
-python reference, a numpy-vectorized batch evaluator, and an optional
-compiled extension without touching the search loops.
+isolated behind this narrow API so they can be swapped between the pure
+python reference and the compiled C extension without touching the
+search loops.
 
 Contract (every backend, bit-for-bit):
 
@@ -115,9 +115,9 @@ def pure_dominates(better, worse) -> bool:
 class KernelBackend:
     """Base backend: the pure python reference implementations.
 
-    Subclasses override :meth:`_eval_nodes` (the batch scorer for
-    memo-miss nodes) and, for the compiled backend, the ``admit_scan`` /
-    ``make_entry`` hooks the state filter consumes.
+    The compiled backend overrides :meth:`expand`, :meth:`profile`,
+    :meth:`_eval_nodes` (the batch scorer for memo-miss nodes) and the
+    ``admit_scan`` / ``make_entry`` hooks the state filter consumes.
     """
 
     name = "base"

@@ -1,7 +1,8 @@
 """The ``compiled`` backend: C-extension hot kernels.
 
-Requires the optional ``repro.core.kernels._ckernels`` extension (built
-by ``python setup.py build_ext --inplace`` or a ``repro[fast]`` wheel);
+Requires the ``repro.core.kernels._ckernels`` extension (built by
+``pip install`` or ``python setup.py build_ext --inplace`` when a C
+toolchain is present);
 importing this module raises ``ImportError`` when it is absent, which
 the registry turns into "backend unavailable".
 

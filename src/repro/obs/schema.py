@@ -75,7 +75,7 @@ STAT_CLOSED_DOMINATED = "closed_dominated"
 # Portfolio-lane counters (portfolio mapper only):
 STAT_LANES_FINISHED = "lanes_finished"
 STAT_WINNER_LANE = "winner_lane"
-# Which kernel backend scored/filtered the search (pure/vector/compiled):
+# Which kernel backend scored/filtered the search (pure/compiled):
 STAT_KERNEL_BACKEND = "kernel_backend"
 
 # -- canonical mapper names ---------------------------------------------

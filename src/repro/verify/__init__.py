@@ -1,13 +1,13 @@
-"""Schedule verification: structural checking, ASAP scheduling, and a
-state-vector semantic-equivalence oracle."""
+"""Schedule verification: structural checking and ASAP scheduling.
+
+The state-vector semantic-equivalence oracle lives in
+:mod:`repro.verify.simulator`; it needs numpy, so it is imported from
+there directly rather than re-exported here (``import repro`` stays
+numpy-free).
+"""
 
 from .checker import VerificationError, is_valid, validate_result
 from .scheduler import ideal_depth, result_from_routed_ops
-from .simulator import (
-    assert_semantically_equivalent,
-    permute_statevector,
-    simulate,
-)
 
 __all__ = [
     "validate_result",
@@ -15,7 +15,4 @@ __all__ = [
     "VerificationError",
     "ideal_depth",
     "result_from_routed_ops",
-    "simulate",
-    "permute_statevector",
-    "assert_semantically_equivalent",
 ]

@@ -114,7 +114,7 @@ class TestInProcessPath:
 
 class TestPoolPath:
     def test_ordering_across_pool(self):
-        records = map_many(_tasks(6), max_workers=2, chunk_size=1)
+        records = map_many(_tasks(6), max_workers=2)
         assert [r.label for r in records] == [
             f"rand-{i}" for i in range(6)
         ]
@@ -138,7 +138,7 @@ class TestPoolPath:
             BatchTask("ok", random_circuit(4, 5, seed=1),
                       OptimalMapper(lnn(4), uniform_latency(1, 3))),
         ]
-        records = map_many(tasks, max_workers=2, chunk_size=1)
+        records = map_many(tasks, max_workers=2)
         assert not records[0].ok
         assert "RuntimeError: boom" in records[0].error
         assert records[1].ok
@@ -150,7 +150,7 @@ class TestPoolPath:
             BatchTask("ok", random_circuit(4, 5, seed=1),
                       OptimalMapper(lnn(4), uniform_latency(1, 3))),
         ]
-        records = map_many(tasks, max_workers=2, chunk_size=1)
+        records = map_many(tasks, max_workers=2)
         assert [r.label for r in records] == ["crash", "ok"]
         assert not records[0].ok
         assert "worker failed" in records[0].error
@@ -271,18 +271,11 @@ class TestStealingScheduler:
             )
         return tasks
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            map_many(_tasks(2), max_workers=2, scheduler="roundrobin")
-
     @pytest.mark.parametrize("workers", [2, 3])
     def test_determinism_across_worker_counts(self, workers):
         tasks = self._stream_tasks()
         reference = map_many(tasks, max_workers=1, keep_results=False)
-        stolen = map_many(
-            tasks, max_workers=workers, keep_results=False,
-            scheduler="stealing",
-        )
+        stolen = map_many(tasks, max_workers=workers, keep_results=False)
         assert [
             (r.label, r.ok, r.depth, r.swaps, r.stats["nodes_expanded"])
             for r in stolen
@@ -294,9 +287,9 @@ class TestStealingScheduler:
     def test_warm_cache_results_identical_to_cold(self):
         tasks = self._stream_tasks()
         warm = map_many(tasks, max_workers=2, keep_results=False,
-                        scheduler="stealing", warm_cache=True)
+                        warm_cache=True)
         cold = map_many(tasks, max_workers=2, keep_results=False,
-                        scheduler="stealing", warm_cache=False)
+                        warm_cache=False)
         assert [
             (r.label, r.depth, r.swaps, r.stats["nodes_expanded"])
             for r in warm
@@ -314,7 +307,7 @@ class TestStealingScheduler:
             BatchTask("ok-1", random_circuit(4, 5, seed=3),
                       OptimalMapper(lnn(4), uniform_latency(1, 3))),
         ]
-        records = map_many(tasks, max_workers=2, scheduler="stealing")
+        records = map_many(tasks, max_workers=2)
         assert [r.label for r in records] == ["ok-0", "bad", "ok-1"]
         assert records[0].ok and records[2].ok
         bad = records[1]
@@ -330,9 +323,7 @@ class TestStealingScheduler:
             BatchTask("ok", random_circuit(4, 5, seed=1),
                       OptimalMapper(lnn(4), uniform_latency(1, 3))),
         ]
-        records = map_many(
-            tasks, max_workers=2, scheduler="stealing", orphan_retries=1,
-        )
+        records = map_many(tasks, max_workers=2, orphan_retries=1)
         assert [r.label for r in records] == ["crash", "ok"]
         crash = records[0]
         assert not crash.ok
@@ -346,45 +337,9 @@ class TestStealingScheduler:
             BatchTask("too-big", qft_skeleton(5),
                       OptimalMapper(lnn(5), uniform_latency(1, 3)))
         ]
-        (rec,) = map_many(tasks, max_workers=2, scheduler="stealing",
-                          max_nodes=5)
+        (rec,) = map_many(tasks, max_workers=2, max_nodes=5)
         assert not rec.ok
         assert rec.error_type == "SearchBudgetExceeded"
-
-
-class TestStaticChunkSizing:
-    @pytest.mark.parametrize("count,workers", [(6, 4), (8, 3), (9, 2)])
-    def test_at_least_one_chunk_per_worker(self, monkeypatch, count,
-                                           workers):
-        from concurrent.futures import Future
-
-        from repro.analysis import batch as batch_mod
-
-        submitted = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, chunk, *args, **kwargs):
-                submitted.append(len(chunk))
-                future = Future()
-                future.set_result(fn(chunk, *args, **kwargs))
-                return future
-
-        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", InlinePool)
-        records = map_many(
-            _tasks(count), max_workers=workers, scheduler="static",
-        )
-        assert len(records) == count and all(r.ok for r in records)
-        assert len(submitted) >= min(workers, count)
-        assert sum(submitted) == count
 
 
 class TestMapBatchResume:

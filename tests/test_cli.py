@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.core.kernels import BACKEND_NAMES
 from repro.obs import REQUIRED_STAT_KEYS, read_jsonl
 
 
@@ -141,3 +147,33 @@ class TestListingCommands:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestKernelFlag:
+    @pytest.mark.parametrize("command", [
+        ["map", "--circuit", "qft:4", "--arch", "lnn-4"],
+        ["map-batch", "--dir", ".", "--arch", "lnn-4"],
+        ["corpus"],
+    ])
+    def test_kernel_choices_are_the_registry_names(self, command):
+        parser = build_parser()
+        for name in BACKEND_NAMES:
+            args = parser.parse_args(command + ["--kernel", name])
+            assert args.kernel == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--kernel", "vector"])
+
+
+def test_cli_import_path_is_numpy_free():
+    # numpy backs only the state-vector oracle (repro.verify.simulator);
+    # a plain `repro map` or batch run must not pay for importing it.
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.analysis.batch, repro.analysis.portfolio\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

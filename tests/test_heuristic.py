@@ -210,8 +210,8 @@ class TestOptimizedMatchesReference:
 
         # The search scores nodes through the kernel backend seam; pin
         # the pure backend so every memo-miss evaluation runs the python
-        # heuristic under test (the compiled/vector backends have their
-        # own parity suite in test_kernels.py).
+        # heuristic under test (the compiled backend has its own parity
+        # suite in test_kernels.py).
         monkeypatch.setattr(api_mod, "heuristic_cost", checking)
         mapper = OptimalMapper(
             arch, latency, informed=swap_aware, max_nodes=max_nodes,

@@ -1,6 +1,6 @@
 """Kernel backend registry + cross-backend bit-identity properties.
 
-The backends (``pure`` / ``vector`` / ``compiled``) promise *identical*
+The backends (``pure`` / ``compiled``) promise *identical*
 search behaviour — same schedules, same node counts, same prune
 counters — differing only in speed.  These tests pin that contract with
 hypothesis over random circuits, for every backend that constructs on
@@ -113,6 +113,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="nope"):
             resolve_backend("nope")
 
+    def test_retired_vector_backend_fails_loudly(self, monkeypatch):
+        # Scripts that still pin the removed numpy backend must get an
+        # error naming the valid backends, never a silent fallback.
+        with pytest.raises(ValueError, match="pure, compiled"):
+            resolve_backend("vector")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "vector")
+        with pytest.raises(ValueError, match="pure, compiled"):
+            resolve_backend(None)
+
     def test_instances_are_cached(self):
         assert get_backend("pure") is get_backend("pure")
 
@@ -133,7 +142,7 @@ class TestRegistry:
         resolved = resolve_backend(None).name
         # The probe must pick the first *available* name in fastest-first
         # order, never something that failed to construct.
-        for candidate in ("compiled", "vector", "pure"):
+        for candidate in ("compiled", "pure"):
             if candidate in BACKENDS:
                 assert resolved == candidate
                 break

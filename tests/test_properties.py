@@ -208,7 +208,7 @@ def test_grid_distance_is_manhattan(rows, cols):
 @settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits(max_qubits=4, max_gates=10), latencies())
 def test_optimal_mapping_semantically_equivalent(circuit, latency):
-    from repro.verify import assert_semantically_equivalent
+    from repro.verify.simulator import assert_semantically_equivalent
 
     arch = lnn(circuit.num_qubits)
     result = OptimalMapper(arch, latency).map(
@@ -220,7 +220,7 @@ def test_optimal_mapping_semantically_equivalent(circuit, latency):
 @settings(deadline=None, max_examples=20, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits(max_qubits=5, max_gates=12), st.integers(0, 2))
 def test_heuristic_mapping_semantically_equivalent(circuit, seed):
-    from repro.verify import assert_semantically_equivalent
+    from repro.verify.simulator import assert_semantically_equivalent
 
     arch = grid(2, 3)
     result = HeuristicMapper(arch, uniform_latency(1, 3)).map(circuit)
