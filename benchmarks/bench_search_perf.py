@@ -48,7 +48,6 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from typing import Dict, Optional
@@ -301,16 +300,6 @@ def run_suites(tiny: bool, pruned: bool = True,
     }
 
 
-def _current_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except Exception:
-        return "unknown"
-
-
 def _trajectory_entry(
     report: Dict,
     run_id: Optional[str] = None,
@@ -328,7 +317,7 @@ def _trajectory_entry(
     from repro.obs.ledger import git_sha
 
     return {
-        "commit": _current_commit(),
+        "commit": git_sha(short=True),
         "git_sha": git_sha(),
         "run_id": run_id,
         "ledger_path": ledger_path,

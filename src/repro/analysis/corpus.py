@@ -35,7 +35,6 @@ from __future__ import annotations
 import datetime
 import json
 import random
-import subprocess
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -318,16 +317,6 @@ def corpus_suite(summary: Dict) -> Tuple[str, Dict]:
     return name, suite
 
 
-def _current_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except Exception:  # noqa: BLE001 - not a git checkout
-        return "unknown"
-
-
 def append_corpus_trajectory(
     json_path: str,
     suites: Dict[str, Dict],
@@ -372,7 +361,7 @@ def append_corpus_trajectory(
     if not isinstance(trajectory, list):
         trajectory = []
     entry = {
-        "commit": _current_commit(),
+        "commit": git_sha(short=True),
         "git_sha": git_sha(),
         "run_id": run_id,
         "ledger_path": ledger_path,

@@ -13,6 +13,18 @@ progress.  Within a group two checks run:
   (Fig. 5b).  Conversely a stored node dominated by a newcomer is lazily
   *killed*: it stays in the priority queue but is skipped when popped.
 
+One admission is one *scan* with a fixed contract: ``scan(problem,
+table, node, dominance, live_only, closed_dominance)`` looks the node's
+group up in ``table``, applies both checks, writes the compacted bucket
+back, kills what the newcomer dominates and returns ``(code, killed)``
+— ``code`` is one of :data:`ADMITTED`, :data:`EQUIVALENT`,
+:data:`DOMINATED`, :data:`CLOSED_DOMINATED` and ``killed`` the killed
+nodes in bucket order.  A backend with an ``admit_scan`` (the compiled
+one) supplies it; otherwise the python :meth:`StateFilter._reference_scan`
+runs, the reference the compiled scan is tested against.  Counters,
+metrics and trace attribution are applied from that result alone, so
+instrumented and plain runs use the same scan.
+
 When constructed with a :class:`~repro.obs.MetricsRegistry` the filter
 mirrors its drop counters into ``filter.*`` metrics so snapshots taken
 mid-search (or on budget exhaustion) see pruning behavior over time.
@@ -30,7 +42,7 @@ from ..obs.trace import (
     PRUNE_DOMINANCE_KILL,
     PRUNE_EQUIVALENCE,
 )
-from .kernels.api import KernelBackend, pure_dominates, pure_profile
+from .kernels.api import KernelBackend, pure_dominates
 from .problem import MappingProblem
 from .state import SearchNode
 
@@ -45,11 +57,11 @@ class _Entry:
         self.node = node
 
 
-#: The reference implementations now live with the kernel backends
-#: (kernels/api.py) so compiled variants can shadow them without an
-#: import cycle; these aliases keep this module's historical names.
-_profile = pure_profile
-_dominates = pure_dominates
+#: Scan result codes (the compiled ``admit_scan`` returns the same).
+ADMITTED = 0
+EQUIVALENT = 1
+DOMINATED = 2
+CLOSED_DOMINATED = 3
 
 
 class StateFilter:
@@ -81,26 +93,16 @@ class StateFilter:
         #: remaining in its bucket — pure wait-children — are exempted by
         #: an exact parent-chain test, so that subtree is never severed
         #: (the circularity that forbids naive closed-node dominance; see
-        #: ``admit``).  Off for all-optima enumeration, which must keep
-        #: equal-depth alternatives.
+        #: ``_reference_scan``).  Off for all-optima enumeration, which
+        #: must keep equal-depth alternatives.
         self._closed_dominance = closed_dominance
         #: Optional :class:`~repro.obs.trace.TraceRecorder`; when set,
         #: every drop/kill is attributed (``equivalence`` / ``dominance``
         #: / ``dominance_kill`` / ``incumbent_bound_kill``).
         self._trace = trace
         self._kernel = kernel if kernel is not None else KernelBackend()
-        # The compiled backend's fused bucket scan replaces the python
-        # admit loop — but only uninstrumented: metrics/trace need the
-        # per-comparison attribution the python scan provides.  The
-        # semantics (and counters) are identical either way.
-        fused = (
-            metrics is None
-            and trace is None
-            and not closed_dominance
-            and self._kernel.admit_scan is not None
-        )
-        self._admit_scan = self._kernel.admit_scan if fused else None
-        self._entry_type = self._kernel.make_entry if fused else _Entry
+        scan = self._kernel.admit_scan
+        self._scan = scan if scan is not None else self._reference_scan
         self._table: Dict[Tuple, List[_Entry]] = {}
         self.equivalent_dropped = 0
         self.dominated_dropped = 0
@@ -129,56 +131,66 @@ class StateFilter:
         buckets no longer accumulate corpses between :meth:`compact`
         calls.
         """
+        code, killed = self._scan(
+            self._problem,
+            self._table,
+            node,
+            self._dominance,
+            self._live_only,
+            self._closed_dominance,
+        )
+        if code:
+            if code == EQUIVALENT:
+                self.equivalent_dropped += 1
+                counter, reason = self._m_equivalent, PRUNE_EQUIVALENCE
+            elif code == DOMINATED:
+                self.dominated_dropped += 1
+                counter, reason = self._m_dominated, PRUNE_DOMINANCE
+            else:
+                self.closed_dominated += 1
+                counter, reason = self._m_closed, PRUNE_CLOSED_DOMINANCE
+            if counter is not None:
+                counter.inc()
+            if self._trace is not None:
+                self._trace.prune(reason, node=node)
+            return False
+        if killed:
+            self.killed += len(killed)
+            if self._m_killed is not None:
+                self._m_killed.inc(len(killed))
+            if self._trace is not None:
+                for victim in killed:
+                    self._trace.prune(PRUNE_DOMINANCE_KILL, node=victim)
+        if self._m_group_size is not None:
+            key = self._kernel.filter_key(node)
+            self._m_group_size.observe(len(self._table[key]))
+        return True
+
+    def _reference_scan(
+        self, problem, table, node, dominance, live_only, closed_dominance
+    ) -> Tuple[int, Tuple[SearchNode, ...]]:
+        """The python scan: the module docstring's scan contract."""
         kernel = self._kernel
         key = kernel.filter_key(node)
-        qfree, gate_finish = kernel.profile(self._problem, node)
-        entry = self._entry_type(node.time, qfree, gate_finish, node)
-        bucket = self._table.get(key)
+        qfree, gate_finish = kernel.profile(problem, node)
+        entry = _Entry(node.time, qfree, gate_finish, node)
+        bucket = table.get(key)
         if bucket is None:
-            self._table[key] = [entry]
-            if self._m_group_size is not None:
-                self._m_group_size.observe(1)
-            return True
-        if self._admit_scan is not None:
-            code, new_bucket, killed_now = self._admit_scan(
-                bucket, entry, self._dominance, self._live_only
-            )
-            if code == 1:
-                self.equivalent_dropped += 1
-                if new_bucket is not None:
-                    self._table[key] = new_bucket
-                return False
-            if code == 2:
-                self.dominated_dropped += 1
-                if new_bucket is not None:
-                    self._table[key] = new_bucket
-                return False
-            self._table[key] = new_bucket
-            if killed_now:
-                self.killed += killed_now
-            return True
+            table[key] = [entry]
+            return ADMITTED, ()
         survivors: List[_Entry] = []
         for index, existing in enumerate(bucket):
             if existing.node.killed:
                 continue
-            if self._live_only and existing.node.dropped:
+            if live_only and existing.node.dropped:
                 continue
-            equivalent = (
+            code = ADMITTED
+            if (
                 existing.time == entry.time
                 and existing.qfree == entry.qfree
                 and existing.gate_finish == entry.gate_finish
-            )
-            if equivalent:
-                self.equivalent_dropped += 1
-                if self._m_equivalent is not None:
-                    self._m_equivalent.inc()
-                if self._trace is not None:
-                    self._trace.prune(PRUNE_EQUIVALENCE, node=node)
-                # Write back the compacted prefix so dead entries found
-                # during this scan don't linger on the bucket.
-                if len(survivors) < index:
-                    self._table[key] = survivors + bucket[index:]
-                return False
+            ):
+                code = EQUIVALENT
             # Dominance may by default only be exercised by *open* nodes
             # (still in the priority queue) — the paper compares expanded
             # nodes "to all the previous nodes (in the priority queue)".
@@ -195,56 +207,40 @@ class StateFilter:
             # non-descendant newcomer is covered outright by the closed
             # node's already-enumerated subtree, whose wait-spine is
             # itself descendant-exempt and therefore never severed.
-            existing_closed = existing.node.dropped
-            if (
-                self._dominance
+            elif (
+                dominance
                 and (
-                    not existing_closed
+                    not existing.node.dropped
                     or (
-                        self._closed_dominance
+                        closed_dominance
                         and not self._wait_descendant(node, existing.node)
                     )
                 )
-                and _dominates(existing, entry)
+                and pure_dominates(existing, entry)
             ):
-                if existing_closed:
-                    self.closed_dominated += 1
-                    if self._m_closed is not None:
-                        self._m_closed.inc()
-                    if self._trace is not None:
-                        self._trace.prune(PRUNE_CLOSED_DOMINANCE, node=node)
-                else:
-                    self.dominated_dropped += 1
-                    if self._m_dominated is not None:
-                        self._m_dominated.inc()
-                    if self._trace is not None:
-                        self._trace.prune(PRUNE_DOMINANCE, node=node)
+                code = CLOSED_DOMINATED if existing.node.dropped else DOMINATED
+            if code:
+                # Write back the compacted prefix so dead entries found
+                # during this scan don't linger on the bucket.
                 if len(survivors) < index:
-                    self._table[key] = survivors + bucket[index:]
-                return False
+                    table[key] = survivors + bucket[index:]
+                return code, ()
             survivors.append(existing)
         kept: List[_Entry] = []
+        killed: List[SearchNode] = []
         for existing in survivors:
             if (
-                self._dominance
+                dominance
                 and not existing.node.dropped
-                and _dominates(entry, existing)
+                and pure_dominates(entry, existing)
             ):
                 existing.node.killed = True
-                self.killed += 1
-                if self._m_killed is not None:
-                    self._m_killed.inc()
-                if self._trace is not None:
-                    self._trace.prune(
-                        PRUNE_DOMINANCE_KILL, node=existing.node
-                    )
+                killed.append(existing.node)
             else:
                 kept.append(existing)
         kept.append(entry)
-        self._table[key] = kept
-        if self._m_group_size is not None:
-            self._m_group_size.observe(len(kept))
-        return True
+        table[key] = kept
+        return ADMITTED, tuple(killed)
 
     def _wait_descendant(self, node: SearchNode, ancestor: SearchNode) -> bool:
         """True when ``node`` descends from ``ancestor`` via pure waits.

@@ -3,24 +3,31 @@
  * The operations that dominate node cost once the surrounding machinery
  * is amortized (see DESIGN.md §Kernel backends):
  *
- *   heuristic()   -- the full (non-windowed) owner-run scan of
+ *   full_scan()   -- the full (non-windowed) owner-run scan of
  *                    heuristic_cost(), operating on a packed problem
  *                    (flat int64 arrays) plus a per-ptr packed row
  *                    buffer.  The SWAP-split LUT is replaced by direct
  *                    closed-form evaluation -- identical values by
  *                    construction, no table needed at C speed.
- *   windowed()    -- the practical mapper's truncated scan
+ *   window_scan() -- the practical mapper's truncated scan
  *                    (heuristic._windowed_cost) over the per-(window,
  *                    ptr) rows of problem.window_rows().  It shares the
  *                    in-flight seeding (scan_begin) and the SWAP-split
- *                    step (pair_finish) with heuristic().
- *   profile()     -- the state filter's per-physical-qubit release
- *                    profile (qfree tuple + in-flight gate finish dict).
- *   admit_scan()  -- the whole bucket scan of StateFilter.admit():
- *                    equivalence check, dominance both ways, in-scan
- *                    compaction.  Entries are instances of the C
- *                    ``Entry`` type below so field access inside the
- *                    scan is a struct load, not a dict/slot lookup.
+ *                    step (pair_finish) with full_scan(); windowed()
+ *                    runs it on one node for direct cross-checks.
+ *   score_batch() -- KernelBackend.heuristic_batch's memo loop in one
+ *                    call: memo keys (cached on the node as _mkey),
+ *                    table hits, in-batch duplicates, row buffers (the
+ *                    python builder is called back only for a ptr not
+ *                    packed yet) and the scans above.
+ *   admit_scan()  -- the whole StateFilter.admit(): the packed entry,
+ *                    bucket lookup, equivalence check, dominance both
+ *                    ways (closed entries too, with the wait-descendant
+ *                    parent walk), in-scan compaction, write-back and
+ *                    kills.  Entries are instances of the C ``Entry``
+ *                    type, which packs the release profile into int64s:
+ *                    equivalence is a memcmp, dominance integer compares
+ *                    and a merge walk over the in-flight gates.
  *   expand()      -- expander.expand under any ExpansionConfig: the
  *                    optimal modes (plain subset enumeration, optional
  *                    active-SWAP restriction) and the practical
@@ -44,6 +51,69 @@
 #include <string.h>
 
 #define STACK_QUBITS 128
+
+/* ------------------------------------------------------------------ */
+/* Interned attribute names and small helpers                          */
+/* ------------------------------------------------------------------ */
+
+static PyObject *str_time, *str_pos, *str_inv, *str_ptr, *str_started;
+static PyObject *str_inflight, *str_parent, *str_actions, *str_prefix_layers;
+static PyObject *str_h, *str_f, *str_eff, *str_fkey, *str_mkey;
+static PyObject *str_profile_attr, *str_frontier, *str_tid;
+static PyObject *str_killed, *str_dropped, *str_last_swaps;
+static PyObject *str_prev_startable, *str_mapping_after_swaps;
+static PyObject *str_filter_key, *str_ck_packed;
+static PyObject *empty_args;
+
+static int
+as_i64(PyObject *obj, int64_t *out)
+{
+    int64_t v = PyLong_AsLongLong(obj);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
+static int
+attr_true(PyObject *obj, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    int rc = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* ``node.<cached>`` unless it is None, else ``node.<method>()`` (which
+ * fills the cache): the SearchNode lazy-cache idiom.  New reference. */
+static PyObject *
+cached_or_call(PyObject *node, PyObject *cached, PyObject *method)
+{
+    PyObject *v = PyObject_GetAttr(node, cached);
+    if (v == NULL || v != Py_None)
+        return v;
+    Py_DECREF(v);
+    return PyObject_CallMethodNoArgs(node, method);
+}
+
+static PyObject *
+tuple_from_i64(const int64_t *values, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    if (t == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromLongLong(values[i]);
+        if (v == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, v);
+    }
+    return t;
+}
 
 /* ------------------------------------------------------------------ */
 /* Packed problem                                                      */
@@ -427,47 +497,24 @@ pair_finish(int64_t *head, int64_t *load, const int64_t *pos,
     return end;
 }
 
-/* Parse the (packed, rows, time, inflight, pos_after, inv, swap_aware)
- * arguments both scans take; returns the packed problem or NULL. */
-static const PackedProblem *
-scan_args(PyObject *args, PyObject **rows_obj, int64_t *time,
-          PyObject **inflight, PyObject **pos_after, PyObject **inv,
-          int *swap_aware)
-{
-    PyObject *capsule;
-    long long t;
-    if (!PyArg_ParseTuple(
-            args, "OO!LO!O!O!p",
-            &capsule,
-            &PyBytes_Type, rows_obj,
-            &t,
-            &PyTuple_Type, inflight,
-            &PyTuple_Type, pos_after,
-            &PyTuple_Type, inv,
-            swap_aware))
-        return NULL;
-    *time = t;
-    return PyCapsule_GetPointer(capsule, "repro.packed_problem");
-}
+/* The signature both scans share: (packed problem, rows buffer, node
+ * time, inflight, positions after in-flight SWAPs, inv, swap_aware).
+ * Returns 0 with ``*out`` set, or -1 with the exception set. */
+typedef int (*scan_fn)(const PackedProblem *, PyObject *, int64_t,
+                       PyObject *, PyObject *, PyObject *, int, int64_t *);
 
 /* heuristic_cost() with window=None: the owner-run scan over the
  * per-ptr rows of problem.pending_rows(). */
-static PyObject *
-heuristic(PyObject *self, PyObject *args)
+static int
+full_scan(const PackedProblem *pp, PyObject *rows_obj, int64_t time,
+          PyObject *inflight, PyObject *pos_after, PyObject *inv,
+          int swap_aware, int64_t *out)
 {
-    PyObject *rows_obj, *inflight, *pos_after, *inv;
-    int64_t time;
-    int swap_aware;
-    const PackedProblem *pp = scan_args(args, &rows_obj, &time, &inflight,
-                                        &pos_after, &inv, &swap_aware);
-    if (pp == NULL)
-        return NULL;
-
     int64_t L = pp->num_logical;
     ScanState st;
     if (scan_begin(&st, pp, time, inflight, pos_after, inv) < 0) {
         scan_end(&st);
-        return NULL;
+        return -1;
     }
     int64_t *head = st.head;
     int64_t *load = st.load;
@@ -487,7 +534,7 @@ heuristic(PyObject *self, PyObject *args)
     if (n_rows < 0 || n_rows * 5 + L != total_i64) {
         PyErr_SetString(PyExc_ValueError, "malformed rows buffer");
         scan_end(&st);
-        return NULL;
+        return -1;
     }
     const int64_t *dist = pp->dist_flat;
     int64_t P = pp->num_physical;
@@ -549,7 +596,8 @@ heuristic(PyObject *self, PyObject *args)
     }
 
     scan_end(&st);
-    return PyLong_FromLongLong(h);
+    *out = h;
+    return 0;
 }
 
 /* heuristic._windowed_cost(): the scan over problem.window_rows(window,
@@ -557,21 +605,15 @@ heuristic(PyObject *self, PyObject *args)
  * l2 == -1 for single-qubit gates.  Singles are scanned row by row here
  * (the window has no owner-run folding); no trailing-singles pass, since
  * the window already dropped everything past it. */
-static PyObject *
-windowed(PyObject *self, PyObject *args)
+static int
+window_scan(const PackedProblem *pp, PyObject *rows_obj, int64_t time,
+            PyObject *inflight, PyObject *pos_after, PyObject *inv,
+            int swap_aware, int64_t *out)
 {
-    PyObject *rows_obj, *inflight, *pos_after, *inv;
-    int64_t time;
-    int swap_aware;
-    const PackedProblem *pp = scan_args(args, &rows_obj, &time, &inflight,
-                                        &pos_after, &inv, &swap_aware);
-    if (pp == NULL)
-        return NULL;
-
     ScanState st;
     if (scan_begin(&st, pp, time, inflight, pos_after, inv) < 0) {
         scan_end(&st);
-        return NULL;
+        return -1;
     }
     const int64_t *rows = (const int64_t *)PyBytes_AS_STRING(rows_obj);
     Py_ssize_t total_i64 =
@@ -579,7 +621,7 @@ windowed(PyObject *self, PyObject *args)
     if (total_i64 % 3 != 0) {
         PyErr_SetString(PyExc_ValueError, "malformed window rows buffer");
         scan_end(&st);
-        return NULL;
+        return -1;
     }
     int64_t *head = st.head;
     int64_t *load = st.load;
@@ -605,432 +647,767 @@ windowed(PyObject *self, PyObject *args)
             h = end;
     }
     scan_end(&st);
+    *out = h;
+    return 0;
+}
+
+/* windowed(packed, rows, time, inflight, pos_after, inv, swap_aware)
+ * -> h: one windowed scan, for direct cross-checks. */
+static PyObject *
+windowed(PyObject *self, PyObject *args)
+{
+    PyObject *capsule, *rows_obj, *inflight, *pos_after, *inv;
+    long long time;
+    int swap_aware;
+    if (!PyArg_ParseTuple(
+            args, "OO!LO!O!O!p",
+            &capsule,
+            &PyBytes_Type, &rows_obj,
+            &time,
+            &PyTuple_Type, &inflight,
+            &PyTuple_Type, &pos_after,
+            &PyTuple_Type, &inv,
+            &swap_aware))
+        return NULL;
+    const PackedProblem *pp =
+        PyCapsule_GetPointer(capsule, "repro.packed_problem");
+    if (pp == NULL)
+        return NULL;
+    int64_t h;
+    if (window_scan(pp, rows_obj, time, inflight, pos_after, inv, swap_aware,
+                    &h) < 0)
+        return NULL;
     return PyLong_FromLongLong(h);
 }
 
 /* ------------------------------------------------------------------ */
-/* Filter profile                                                      */
+/* Memoised batch scoring                                              */
 /* ------------------------------------------------------------------ */
 
+/* heuristic.memo_key(node): the cached ``_mkey``, else ``(ptr, pos after
+ * in-flight SWAPs[, in-flight items with finish made relative to
+ * node.time])``, cached back on the node.  New reference. */
 static PyObject *
-profile(PyObject *self, PyObject *args)
+node_memo_key(PyObject *node)
 {
-    PyObject *capsule, *inflight, *pos;
-    long long time;
-    if (!PyArg_ParseTuple(args, "OLO!O!", &capsule, &time,
-                          &PyTuple_Type, &inflight,
-                          &PyTuple_Type, &pos))
+    PyObject *key = PyObject_GetAttr(node, str_mkey);
+    if (key == NULL || key != Py_None)
+        return key;
+    Py_DECREF(key);
+    key = NULL;
+    PyObject *ptr = NULL, *inflight = NULL, *rel = NULL, *time_o = NULL;
+    PyObject *eff = cached_or_call(node, str_eff, str_mapping_after_swaps);
+    if (eff == NULL)
         return NULL;
-    PackedProblem *pp = PyCapsule_GetPointer(capsule, "repro.packed_problem");
+    ptr = PyObject_GetAttr(node, str_ptr);
+    inflight = PyObject_GetAttr(node, str_inflight);
+    if (ptr == NULL || inflight == NULL)
+        goto done;
+    if (!PyTuple_Check(eff) || PyTuple_GET_SIZE(eff) != 2
+        || !PyTuple_Check(inflight)) {
+        PyErr_SetString(PyExc_TypeError, "memo key: malformed node fields");
+        goto done;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(inflight);
+    if (n == 0) {
+        key = PyTuple_Pack(2, ptr, PyTuple_GET_ITEM(eff, 0));
+    } else {
+        int64_t time;
+        time_o = PyObject_GetAttr(node, str_time);
+        if (time_o == NULL || as_i64(time_o, &time) < 0)
+            goto done;
+        rel = PyTuple_New(n);
+        if (rel == NULL)
+            goto done;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *item = PyTuple_GET_ITEM(inflight, i);
+            int64_t finish;
+            if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 4) {
+                PyErr_SetString(PyExc_TypeError,
+                                "memo key: malformed in-flight item");
+                goto done;
+            }
+            if (as_i64(PyTuple_GET_ITEM(item, 0), &finish) < 0)
+                goto done;
+            PyObject *remaining = PyLong_FromLongLong(finish - time);
+            if (remaining == NULL)
+                goto done;
+            PyObject *t = PyTuple_Pack(4, remaining, PyTuple_GET_ITEM(item, 1),
+                                       PyTuple_GET_ITEM(item, 2),
+                                       PyTuple_GET_ITEM(item, 3));
+            Py_DECREF(remaining);
+            if (t == NULL)
+                goto done;
+            PyTuple_SET_ITEM(rel, i, t);
+        }
+        key = PyTuple_Pack(3, ptr, PyTuple_GET_ITEM(eff, 0), rel);
+    }
+    if (key != NULL && PyObject_SetAttr(node, str_mkey, key) < 0)
+        Py_CLEAR(key);
+done:
+    Py_DECREF(eff);
+    Py_XDECREF(ptr);
+    Py_XDECREF(inflight);
+    Py_XDECREF(rel);
+    Py_XDECREF(time_o);
+    return key;
+}
+
+/* The packed rows for ``ptr``: ``cache[ptr]`` (``cache[(window, ptr)]``
+ * for a windowed scan), else the Python builder ``fetch(problem, ptr)``
+ * (``fetch(problem, window, ptr)``), which fills the cache and counts
+ * its overflow.  New reference. */
+static PyObject *
+node_rows(PyObject *cache, PyObject *fetch, PyObject *problem,
+          PyObject *window, PyObject *ptr)
+{
+    PyObject *ckey = ptr;
+    if (window != Py_None) {
+        ckey = PyTuple_Pack(2, window, ptr);
+        if (ckey == NULL)
+            return NULL;
+    } else {
+        Py_INCREF(ckey);
+    }
+    PyObject *rows = PyDict_GetItemWithError(cache, ckey);
+    Py_DECREF(ckey);
+    if (rows != NULL) {
+        Py_INCREF(rows);
+    } else if (!PyErr_Occurred()) {
+        rows = window == Py_None
+            ? PyObject_CallFunctionObjArgs(fetch, problem, ptr, NULL)
+            : PyObject_CallFunctionObjArgs(fetch, problem, window, ptr, NULL);
+    }
+    if (rows != NULL && !PyBytes_Check(rows)) {
+        PyErr_SetString(PyExc_TypeError, "rows buffer must be bytes");
+        Py_CLEAR(rows);
+    }
+    return rows;
+}
+
+/* Score one memo-miss node: fetch its rows, run the scan, set node.h.
+ * Returns the new h object, or NULL with the exception set. */
+static PyObject *
+score_node(const PackedProblem *pp, PyObject *node, PyObject *cache,
+           PyObject *fetch, PyObject *problem, PyObject *window,
+           int swap_aware)
+{
+    scan_fn scan = window == Py_None ? full_scan : window_scan;
+    PyObject *time_o = NULL, *ptr = NULL, *inflight = NULL, *pos = NULL;
+    PyObject *inv = NULL, *eff = NULL, *rows = NULL, *h_obj = NULL;
+    int64_t time, h;
+    time_o = PyObject_GetAttr(node, str_time);
+    ptr = PyObject_GetAttr(node, str_ptr);
+    inflight = PyObject_GetAttr(node, str_inflight);
+    pos = PyObject_GetAttr(node, str_pos);
+    inv = PyObject_GetAttr(node, str_inv);
+    if (time_o == NULL || ptr == NULL || inflight == NULL || pos == NULL
+        || inv == NULL || as_i64(time_o, &time) < 0)
+        goto done;
+    if (!PyTuple_Check(inflight) || !PyTuple_Check(pos)
+        || !PyTuple_Check(inv)) {
+        PyErr_SetString(PyExc_TypeError, "score: malformed node fields");
+        goto done;
+    }
+    PyObject *pos_after = pos;
+    if (PyTuple_GET_SIZE(inflight)) {
+        eff = cached_or_call(node, str_eff, str_mapping_after_swaps);
+        if (eff == NULL)
+            goto done;
+        if (!PyTuple_Check(eff) || PyTuple_GET_SIZE(eff) != 2
+            || !PyTuple_Check(PyTuple_GET_ITEM(eff, 0))) {
+            PyErr_SetString(PyExc_TypeError, "score: malformed _eff");
+            goto done;
+        }
+        pos_after = PyTuple_GET_ITEM(eff, 0);
+    }
+    rows = node_rows(cache, fetch, problem, window, ptr);
+    if (rows == NULL
+        || scan(pp, rows, time, inflight, pos_after, inv, swap_aware, &h) < 0)
+        goto done;
+    h_obj = PyLong_FromLongLong(h);
+    if (h_obj != NULL && PyObject_SetAttr(node, str_h, h_obj) < 0)
+        Py_CLEAR(h_obj);
+done:
+    Py_XDECREF(time_o);
+    Py_XDECREF(ptr);
+    Py_XDECREF(inflight);
+    Py_XDECREF(pos);
+    Py_XDECREF(inv);
+    Py_XDECREF(eff);
+    Py_XDECREF(rows);
+    return h_obj;
+}
+
+/* KernelBackend.heuristic_batch's memo loop and scans in one call:
+ * (packed, problem, nodes, memo_table or None, rows cache, fetch,
+ * window or None, swap_aware) -> list of the nodes that were scanned.
+ * A node whose memo key is in the table takes the stored h (a hit); the
+ * first node with a fresh key is scanned and stored, so later nodes of
+ * the same batch with that key are hits, as in sequential evaluation.
+ * Without a table every node is scanned.  The caller adds
+ * ``len(misses)`` / ``len(nodes) - len(misses)`` to the memo counters
+ * and feeds the misses to count_evaluations(). */
+static PyObject *
+score_batch(PyObject *self, PyObject *args)
+{
+    PyObject *capsule, *problem, *seq, *table, *cache, *fetch, *window;
+    int swap_aware;
+    if (!PyArg_ParseTuple(args, "OOOOO!OOp", &capsule, &problem, &seq,
+                          &table, &PyDict_Type, &cache, &fetch, &window,
+                          &swap_aware))
+        return NULL;
+    const PackedProblem *pp =
+        PyCapsule_GetPointer(capsule, "repro.packed_problem");
     if (pp == NULL)
         return NULL;
-
-    int64_t P = pp->num_physical;
-    int64_t stack_buf[STACK_QUBITS * 2];
-    int64_t *qfree = stack_buf;
-    if (P > STACK_QUBITS * 2) {
-        qfree = malloc(sizeof(int64_t) * (size_t)P);
-        if (qfree == NULL)
-            return PyErr_NoMemory();
-    }
-    for (int64_t p = 0; p < P; p++)
-        qfree[p] = time;
-
-    PyObject *gate_finish = PyDict_New();
-    if (gate_finish == NULL)
-        goto fail;
-
-    Py_ssize_t n = PyTuple_GET_SIZE(inflight);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *item = PyTuple_GET_ITEM(inflight, i);
-        int64_t finish = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 0));
-        int64_t kind = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 1));
-        int64_t a = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 2));
-        int64_t b = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 3));
-        if (PyErr_Occurred())
-            goto fail;
-        if (kind == 1) { /* K_SWAP */
-            if (finish > qfree[a])
-                qfree[a] = finish;
-            if (finish > qfree[b])
-                qfree[b] = finish;
-        } else {
-            PyObject *fv = PyLong_FromLongLong(finish);
-            if (fv == NULL)
-                goto fail;
-            int rc = PyDict_SetItem(gate_finish,
-                                    PyTuple_GET_ITEM(item, 2), fv);
-            Py_DECREF(fv);
-            if (rc < 0)
-                goto fail;
-            int64_t l1 = pp->gate_l1[a];
-            int64_t l2 = pp->gate_l2[a];
-            int64_t p1 = PyLong_AsLongLong(PyTuple_GET_ITEM(pos, l1));
-            if (p1 == -1 && PyErr_Occurred())
-                goto fail;
-            if (finish > qfree[p1])
-                qfree[p1] = finish;
-            if (l2 >= 0) {
-                int64_t p2 = PyLong_AsLongLong(PyTuple_GET_ITEM(pos, l2));
-                if (p2 == -1 && PyErr_Occurred())
-                    goto fail;
-                if (finish > qfree[p2])
-                    qfree[p2] = finish;
-            }
-        }
-    }
-
-    PyObject *qfree_t = PyTuple_New(P);
-    if (qfree_t == NULL)
-        goto fail;
-    for (int64_t p = 0; p < P; p++) {
-        PyObject *v = PyLong_FromLongLong(qfree[p]);
-        if (v == NULL) {
-            Py_DECREF(qfree_t);
-            goto fail;
-        }
-        PyTuple_SET_ITEM(qfree_t, p, v);
-    }
-    if (qfree != stack_buf)
-        free(qfree);
-    PyObject *out = PyTuple_New(2);
-    if (out == NULL) {
-        Py_DECREF(qfree_t);
-        Py_DECREF(gate_finish);
+    if (table != Py_None && !PyDict_Check(table)) {
+        PyErr_SetString(PyExc_TypeError, "memo table must be a dict or None");
         return NULL;
     }
-    PyTuple_SET_ITEM(out, 0, qfree_t);
-    PyTuple_SET_ITEM(out, 1, gate_finish);
-    return out;
-
-fail:
-    if (qfree != stack_buf)
-        free(qfree);
-    Py_XDECREF(gate_finish);
-    return NULL;
+    PyObject *nodes = PySequence_Fast(seq, "nodes must be a sequence");
+    if (nodes == NULL)
+        return NULL;
+    PyObject *misses = PyList_New(0);
+    if (misses == NULL) {
+        Py_DECREF(nodes);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(nodes); i++) {
+        PyObject *node = PySequence_Fast_GET_ITEM(nodes, i);
+        Py_INCREF(node);
+        PyObject *key = NULL, *h_obj = NULL;
+        int rc = -1;
+        if (table != Py_None) {
+            key = node_memo_key(node);
+            if (key == NULL)
+                goto next;
+            PyObject *cached = PyDict_GetItemWithError(table, key);
+            if (cached != NULL) {
+                rc = PyObject_SetAttr(node, str_h, cached);
+                goto next;
+            }
+            if (PyErr_Occurred())
+                goto next;
+        }
+        h_obj = score_node(pp, node, cache, fetch, problem, window,
+                           swap_aware);
+        if (h_obj == NULL
+            || (key != NULL && PyDict_SetItem(table, key, h_obj) < 0))
+            goto next;
+        rc = PyList_Append(misses, node);
+    next:
+        Py_DECREF(node);
+        Py_XDECREF(key);
+        Py_XDECREF(h_obj);
+        if (rc < 0) {
+            Py_CLEAR(misses);
+            break;
+        }
+    }
+    Py_DECREF(nodes);
+    return misses;
 }
 
 /* ------------------------------------------------------------------ */
-/* Entry type + admit scan                                             */
+/* State-filter entries + admit scan                                   */
 /* ------------------------------------------------------------------ */
 
+/* A filter entry with the node's release profile packed inline:
+ * ``data`` holds the per-physical-qubit release times (n_qubits int64s),
+ * then the in-flight gate indices in ascending order (n_gates), then
+ * their finish cycles (n_gates).  Equivalence is one memcmp over it and
+ * dominance is integer compares plus a merge walk over the gate ids.
+ * ``last_swaps`` / ``prev_startable`` are the node's own frozensets
+ * (never mutated after construction); ``killed`` / ``dropped`` are read
+ * from the node on every scan because the searches flip them. */
 typedef struct {
-    PyObject_HEAD
-    long long time;
-    PyObject *qfree;
-    PyObject *gate_finish;
+    PyObject_VAR_HEAD
+    int64_t time;
+    Py_ssize_t n_qubits;
+    Py_ssize_t n_gates;
     PyObject *node;
+    PyObject *last_swaps;
+    PyObject *prev_startable;
+    int64_t data[1];
 } EntryObject;
 
-static PyObject *str_killed;
-static PyObject *str_dropped;
-static PyObject *str_last_swaps;
-static PyObject *str_prev_startable;
-
-static PyObject *
-Entry_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    long long time;
-    PyObject *qfree, *gate_finish, *node;
-    if (!PyArg_ParseTuple(args, "LOOO", &time, &qfree, &gate_finish, &node))
-        return NULL;
-    EntryObject *self = (EntryObject *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->time = time;
-    Py_INCREF(qfree);
-    self->qfree = qfree;
-    Py_INCREF(gate_finish);
-    self->gate_finish = gate_finish;
-    Py_INCREF(node);
-    self->node = node;
-    return (PyObject *)self;
-}
+static PyTypeObject Entry_Type;
 
 static void
 Entry_dealloc(EntryObject *self)
 {
-    Py_XDECREF(self->qfree);
-    Py_XDECREF(self->gate_finish);
     Py_XDECREF(self->node);
-    Py_TYPE(self)->tp_free((PyObject *)self);
+    Py_XDECREF(self->last_swaps);
+    Py_XDECREF(self->prev_startable);
+    PyObject_Free(self);
+}
+
+/* filters.pure_profile(problem, node) packed into a new entry. */
+static EntryObject *
+entry_build(const PackedProblem *pp, PyObject *node)
+{
+    int64_t P = pp->num_physical;
+    EntryObject *entry = NULL;
+    PyObject *time_o = PyObject_GetAttr(node, str_time);
+    PyObject *inflight = PyObject_GetAttr(node, str_inflight);
+    PyObject *pos = PyObject_GetAttr(node, str_pos);
+    int64_t time;
+    if (time_o == NULL || inflight == NULL || pos == NULL
+        || as_i64(time_o, &time) < 0)
+        goto fail;
+    if (!PyTuple_Check(inflight) || !PyTuple_Check(pos)
+        || PyTuple_GET_SIZE(pos) != pp->num_logical) {
+        PyErr_SetString(PyExc_TypeError, "filter entry: malformed node");
+        goto fail;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(inflight);
+    Py_ssize_t n_gates = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyTuple_GET_ITEM(inflight, i);
+        int64_t kind;
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 4) {
+            PyErr_SetString(PyExc_TypeError,
+                            "filter entry: malformed in-flight item");
+            goto fail;
+        }
+        if (as_i64(PyTuple_GET_ITEM(item, 1), &kind) < 0)
+            goto fail;
+        n_gates += kind != 1;
+    }
+    entry = PyObject_NewVar(EntryObject, &Entry_Type, P + 2 * n_gates);
+    if (entry == NULL)
+        goto fail;
+    entry->node = NULL;
+    entry->last_swaps = NULL;
+    entry->prev_startable = NULL;
+    entry->time = time;
+    entry->n_qubits = P;
+    entry->n_gates = n_gates;
+    Py_INCREF(node);
+    entry->node = node;
+    entry->last_swaps = PyObject_GetAttr(node, str_last_swaps);
+    entry->prev_startable = PyObject_GetAttr(node, str_prev_startable);
+    if (entry->last_swaps == NULL || entry->prev_startable == NULL)
+        goto fail;
+
+    int64_t *qfree = entry->data;
+    int64_t *gates = qfree + P;
+    int64_t *finish = gates + n_gates;
+    for (int64_t p = 0; p < P; p++)
+        qfree[p] = time;
+    Py_ssize_t k = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyTuple_GET_ITEM(inflight, i);
+        int64_t f, kind, a, b;
+        if (as_i64(PyTuple_GET_ITEM(item, 0), &f) < 0
+            || as_i64(PyTuple_GET_ITEM(item, 1), &kind) < 0
+            || as_i64(PyTuple_GET_ITEM(item, 2), &a) < 0
+            || as_i64(PyTuple_GET_ITEM(item, 3), &b) < 0)
+            goto fail;
+        int64_t ops[2] = {a, b};
+        int n_ops = 2;
+        if (kind != 1) { /* K_GATE: a is the gate index */
+            if (a < 0 || a >= pp->num_gates)
+                goto range;
+            /* Insertion into the ascending gate list. */
+            Py_ssize_t j = k++;
+            while (j > 0 && gates[j - 1] > a) {
+                gates[j] = gates[j - 1];
+                finish[j] = finish[j - 1];
+                j--;
+            }
+            gates[j] = a;
+            finish[j] = f;
+            int64_t l2 = pp->gate_l2[a];
+            n_ops = l2 >= 0 ? 2 : 1;
+            if (as_i64(PyTuple_GET_ITEM(pos, pp->gate_l1[a]), &ops[0]) < 0
+                || (l2 >= 0 && as_i64(PyTuple_GET_ITEM(pos, l2), &ops[1]) < 0))
+                goto fail;
+        }
+        for (int o = 0; o < n_ops; o++) {
+            int64_t p = ops[o];
+            if (p < 0 || p >= P)
+                goto range;
+            if (f > qfree[p])
+                qfree[p] = f;
+        }
+    }
+    Py_DECREF(time_o);
+    Py_DECREF(inflight);
+    Py_DECREF(pos);
+    return entry;
+
+range:
+    PyErr_SetString(PyExc_ValueError, "filter entry: qubit out of range");
+fail:
+    Py_XDECREF(entry);
+    Py_XDECREF(time_o);
+    Py_XDECREF(inflight);
+    Py_XDECREF(pos);
+    return NULL;
+}
+
+static PyObject *
+Entry_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *capsule, *node;
+    if (!PyArg_ParseTuple(args, "OO", &capsule, &node))
+        return NULL;
+    const PackedProblem *pp =
+        PyCapsule_GetPointer(capsule, "repro.packed_problem");
+    if (pp == NULL)
+        return NULL;
+    return (PyObject *)entry_build(pp, node);
+}
+
+static PyObject *
+Entry_qfree(EntryObject *self, void *closure)
+{
+    return tuple_from_i64(self->data, self->n_qubits);
+}
+
+static PyObject *
+Entry_gate_finish(EntryObject *self, void *closure)
+{
+    const int64_t *gates = self->data + self->n_qubits;
+    PyObject *d = PyDict_New();
+    for (Py_ssize_t k = 0; d != NULL && k < self->n_gates; k++) {
+        PyObject *g = PyLong_FromLongLong(gates[k]);
+        PyObject *f = PyLong_FromLongLong(gates[self->n_gates + k]);
+        if (g == NULL || f == NULL || PyDict_SetItem(d, g, f) < 0)
+            Py_CLEAR(d);
+        Py_XDECREF(g);
+        Py_XDECREF(f);
+    }
+    return d;
 }
 
 static PyMemberDef Entry_members[] = {
     {"time", T_LONGLONG, offsetof(EntryObject, time), READONLY, NULL},
-    {"qfree", T_OBJECT_EX, offsetof(EntryObject, qfree), READONLY, NULL},
-    {"gate_finish", T_OBJECT_EX, offsetof(EntryObject, gate_finish), READONLY,
-     NULL},
     {"node", T_OBJECT_EX, offsetof(EntryObject, node), READONLY, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Entry_getset[] = {
+    {"qfree", (getter)Entry_qfree, NULL,
+     "Per-physical-qubit release times (tuple).", NULL},
+    {"gate_finish", (getter)Entry_gate_finish, NULL,
+     "In-flight gate finish cycles (dict gate -> finish).", NULL},
     {NULL},
 };
 
 static PyTypeObject Entry_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.core.kernels._ckernels.Entry",
-    .tp_basicsize = sizeof(EntryObject),
+    .tp_basicsize = offsetof(EntryObject, data),
+    .tp_itemsize = sizeof(int64_t),
     .tp_dealloc = (destructor)Entry_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_members = Entry_members,
+    .tp_getset = Entry_getset,
     .tp_new = Entry_new,
 };
 
-static int
-attr_true(PyObject *obj, PyObject *name)
+static inline int
+entry_equivalent(const EntryObject *a, const EntryObject *b)
 {
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    int rc = PyObject_IsTrue(v);
-    Py_DECREF(v);
-    return rc;
+    return a->time == b->time && a->n_gates == b->n_gates
+        && memcmp(a->data, b->data,
+                  sizeof(int64_t) * (size_t)(a->n_qubits + 2 * a->n_gates))
+               == 0;
 }
 
-static int
-as_i64(PyObject *obj, int64_t *out)
+/* ``a <= b`` for the restriction frozensets; 1, 0 or -1 on error. */
+static inline int
+subset(PyObject *a, PyObject *b)
 {
-    int64_t v = PyLong_AsLongLong(obj);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    *out = v;
-    return 0;
+    if (a == b || (PyAnySet_Check(a) && PySet_GET_SIZE(a) == 0))
+        return 1;
+    return PyObject_RichCompareBool(a, b, Py_LE);
 }
 
-/* 1 = better dominates worse, 0 = not, -1 = error. Mirrors
- * filters._dominates. */
+/* filters.pure_dominates: 1 = better dominates worse, 0 = not, -1 =
+ * error.  A gate in flight in only one of the two compares its finish
+ * against the other's cycle (the merge walk's unmatched branches). */
 static int
-entry_dominates(EntryObject *better, EntryObject *worse)
+entry_dominates(const EntryObject *better, const EntryObject *worse)
 {
     if (better->time > worse->time)
         return 0;
-    Py_ssize_t n = PyTuple_GET_SIZE(better->qfree);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int64_t rb, rw;
-        if (as_i64(PyTuple_GET_ITEM(better->qfree, i), &rb) < 0
-            || as_i64(PyTuple_GET_ITEM(worse->qfree, i), &rw) < 0)
-            return -1;
-        if (rb > rw)
+    Py_ssize_t P = better->n_qubits;
+    for (Py_ssize_t p = 0; p < P; p++) {
+        if (better->data[p] > worse->data[p])
             return 0;
     }
-    PyObject *bf = better->gate_finish;
-    PyObject *wf = worse->gate_finish;
-    if (PyDict_GET_SIZE(bf) || PyDict_GET_SIZE(wf)) {
-        Py_ssize_t pos = 0;
-        PyObject *gate, *val;
-        while (PyDict_Next(bf, &pos, &gate, &val)) {
-            PyObject *fw = PyDict_GetItemWithError(wf, gate);
-            if (fw == NULL && PyErr_Occurred())
-                return -1;
-            int64_t fb, limit;
-            if (as_i64(val, &fb) < 0)
-                return -1;
-            if (fw == NULL) {
-                limit = worse->time;
-            } else if (as_i64(fw, &limit) < 0) {
-                return -1;
-            }
-            if (fb > limit)
+    Py_ssize_t nb = better->n_gates, nw = worse->n_gates;
+    const int64_t *bg = better->data + P, *bf = bg + nb;
+    const int64_t *wg = worse->data + P, *wf = wg + nw;
+    Py_ssize_t i = 0, j = 0;
+    while (i < nb || j < nw) {
+        if (j == nw || (i < nb && bg[i] < wg[j])) {
+            if (bf[i] > worse->time)
                 return 0;
-        }
-        pos = 0;
-        while (PyDict_Next(wf, &pos, &gate, &val)) {
-            PyObject *fb = PyDict_GetItemWithError(bf, gate);
-            if (fb == NULL && PyErr_Occurred())
-                return -1;
-            if (fb == NULL) {
-                int64_t fwv;
-                if (as_i64(val, &fwv) < 0)
-                    return -1;
-                if (better->time > fwv)
-                    return 0;
-            }
+            i++;
+        } else if (i == nb || wg[j] < bg[i]) {
+            if (better->time > wf[j])
+                return 0;
+            j++;
+        } else {
+            if (bf[i] > wf[j])
+                return 0;
+            i++;
+            j++;
         }
     }
-    PyObject *b_ls = PyObject_GetAttr(better->node, str_last_swaps);
-    if (b_ls == NULL)
-        return -1;
-    PyObject *w_ls = PyObject_GetAttr(worse->node, str_last_swaps);
-    if (w_ls == NULL) {
-        Py_DECREF(b_ls);
-        return -1;
-    }
-    int rc = PyObject_RichCompareBool(b_ls, w_ls, Py_LE);
-    Py_DECREF(b_ls);
-    Py_DECREF(w_ls);
+    int rc = subset(better->last_swaps, worse->last_swaps);
     if (rc <= 0)
         return rc;
-    PyObject *b_ps = PyObject_GetAttr(better->node, str_prev_startable);
-    if (b_ps == NULL)
+    return subset(better->prev_startable, worse->prev_startable);
+}
+
+/* StateFilter._wait_descendant: 1 when ``node`` descends from
+ * ``ancestor`` through pure waits.  Wait-children keep their parent's
+ * filter key, so the walk up the parent chain stops at the first
+ * ancestor under another key; an ancestor with nothing in flight has
+ * no wait-children at all. */
+static int
+wait_descendant(PyObject *node, PyObject *key, PyObject *ancestor)
+{
+    PyObject *inflight = PyObject_GetAttr(ancestor, str_inflight);
+    if (inflight == NULL)
         return -1;
-    PyObject *w_ps = PyObject_GetAttr(worse->node, str_prev_startable);
-    if (w_ps == NULL) {
-        Py_DECREF(b_ps);
-        return -1;
+    int busy = PyObject_IsTrue(inflight);
+    Py_DECREF(inflight);
+    if (busy <= 0)
+        return busy;
+    int rc = 0;
+    PyObject *parent = PyObject_GetAttr(node, str_parent);
+    while (parent != NULL && parent != Py_None) {
+        if (parent == ancestor) {
+            rc = 1;
+            break;
+        }
+        PyObject *pkey = cached_or_call(parent, str_fkey, str_filter_key);
+        if (pkey == NULL) {
+            rc = -1;
+            break;
+        }
+        int same = pkey == key ? 1 : PyObject_RichCompareBool(pkey, key, Py_EQ);
+        Py_DECREF(pkey);
+        if (same <= 0) {
+            rc = same;
+            break;
+        }
+        PyObject *next = PyObject_GetAttr(parent, str_parent);
+        Py_DECREF(parent);
+        parent = next;
     }
-    rc = PyObject_RichCompareBool(b_ps, w_ps, Py_LE);
-    Py_DECREF(b_ps);
-    Py_DECREF(w_ps);
+    if (parent == NULL)
+        return -1;
+    Py_DECREF(parent);
     return rc;
 }
 
-static PyObject *
-dominates(PyObject *self, PyObject *args)
-{
-    EntryObject *better, *worse;
-    if (!PyArg_ParseTuple(args, "O!O!", &Entry_Type, &better,
-                          &Entry_Type, &worse))
-        return NULL;
-    int rc = entry_dominates(better, worse);
-    if (rc < 0)
-        return NULL;
-    return PyBool_FromLong(rc);
-}
-
-/* Build ``survivors + bucket[index:]`` (the in-scan compaction write-
- * back) or None when no dead entry was skipped before ``index``. */
-static PyObject *
-compacted_bucket(PyObject *survivors, PyObject *bucket, Py_ssize_t index)
+/* ``table[key] = survivors + bucket[index:]`` when the scan skipped dead
+ * entries before ``index`` (the in-scan compaction write-back). */
+static int
+write_back(PyObject *table, PyObject *key, PyObject *survivors,
+           PyObject *bucket, Py_ssize_t index)
 {
     if (PyList_GET_SIZE(survivors) >= index)
-        Py_RETURN_NONE;
+        return 0;
     PyObject *rest = PyList_GetSlice(bucket, index, PyList_GET_SIZE(bucket));
     if (rest == NULL)
-        return NULL;
+        return -1;
     PyObject *merged = PySequence_Concat(survivors, rest);
     Py_DECREF(rest);
-    return merged;
+    if (merged == NULL)
+        return -1;
+    int rc = PyDict_SetItem(table, key, merged);
+    Py_DECREF(merged);
+    return rc;
 }
 
-/* The full StateFilter.admit() bucket scan.  Returns
- * ``(code, new_bucket_or_None, killed_count)`` with code 0 = admitted
- * (new_bucket is the replacement bucket), 1 = equivalent drop,
- * 2 = dominated drop (new_bucket is the compaction write-back or
- * None). */
+/* ``problem._ck_packed``, packed by ``packer(problem)`` on first use. */
 static PyObject *
-admit_scan(PyObject *self, PyObject *args)
+problem_capsule(PyObject *problem, PyObject *packer)
 {
-    PyObject *bucket;
-    EntryObject *entry;
-    int dominance, live_only;
-    if (!PyArg_ParseTuple(args, "O!O!pp", &PyList_Type, &bucket,
-                          &Entry_Type, &entry, &dominance, &live_only))
+    PyObject *capsule = PyObject_GetAttr(problem, str_ck_packed);
+    if (capsule != NULL || !PyErr_ExceptionMatches(PyExc_AttributeError))
+        return capsule;
+    PyErr_Clear();
+    return PyObject_CallOneArg(packer, problem);
+}
+
+/* The results with nothing killed, prebuilt: (code, ()) for codes 0-3. */
+static PyObject *admit_results[4];
+
+/* The whole StateFilter.admit() for one node: (packer, problem, table,
+ * node, dominance, live_only, closed_dominance) -> (code, killed).
+ * Builds the packed entry, looks the node's filter key up in ``table``
+ * (a dict of entry lists) and scans the bucket in order: dead entries
+ * (killed, or dropped under live_only) are compacted away; an equivalent
+ * entry drops the newcomer (code 1); with dominance an open entry that
+ * dominates it drops it (code 2), and so does a closed one under
+ * closed_dominance unless the newcomer is its wait-descendant (code 3).
+ * Every drop writes the compacted prefix back.  An admitted newcomer
+ * kills each open survivor it dominates and is appended; ``killed`` is
+ * the tuple of killed nodes in bucket order.  Mirrors
+ * StateFilter._reference_scan. */
+static PyObject *
+admit_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "admit_scan takes 7 arguments");
+        return NULL;
+    }
+    PyObject *problem = args[1], *table = args[2], *node = args[3];
+    if (!PyDict_Check(table)) {
+        PyErr_SetString(PyExc_TypeError, "admit_scan: table must be a dict");
+        return NULL;
+    }
+    int dominance = PyObject_IsTrue(args[4]);
+    int live_only = PyObject_IsTrue(args[5]);
+    int closed = PyObject_IsTrue(args[6]);
+    if (dominance < 0 || live_only < 0 || closed < 0)
         return NULL;
 
-    PyObject *survivors = PyList_New(0);
-    if (survivors == NULL)
+    PyObject *result = NULL, *key = NULL, *bucket = NULL;
+    PyObject *survivors = NULL, *kept = NULL, *killed = NULL;
+    EntryObject *entry = NULL;
+    int code = 0;
+    PyObject *capsule = problem_capsule(problem, args[0]);
+    if (capsule == NULL)
         return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(bucket);
-    for (Py_ssize_t i = 0; i < n; i++) {
+    const PackedProblem *pp =
+        PyCapsule_GetPointer(capsule, "repro.packed_problem");
+    if (pp != NULL)
+        entry = entry_build(pp, node);
+    Py_DECREF(capsule);
+    if (entry == NULL)
+        return NULL;
+    key = cached_or_call(node, str_fkey, str_filter_key);
+    if (key == NULL)
+        goto done;
+
+    bucket = PyDict_GetItemWithError(table, key);
+    if (bucket == NULL) {
+        if (PyErr_Occurred())
+            goto done;
+        kept = PyList_New(1);
+        if (kept == NULL)
+            goto done;
+        Py_INCREF(entry);
+        PyList_SET_ITEM(kept, 0, (PyObject *)entry);
+        if (PyDict_SetItem(table, key, kept) < 0)
+            goto done;
+        goto admitted;
+    }
+    if (!PyList_Check(bucket)) {
+        PyErr_SetString(PyExc_TypeError, "admit_scan: bucket must be a list");
+        bucket = NULL;
+        goto done;
+    }
+    Py_INCREF(bucket); /* a write-back may replace it in the table */
+    survivors = PyList_New(0);
+    if (survivors == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(bucket); i++) {
         PyObject *item = PyList_GET_ITEM(bucket, i);
-        if (!PyObject_TypeCheck(item, &Entry_Type)) {
+        if (!Py_IS_TYPE(item, &Entry_Type)) {
             PyErr_SetString(PyExc_TypeError,
-                            "admit_scan bucket holds a non-Entry item");
-            goto fail;
+                            "admit_scan: bucket holds a non-Entry item");
+            goto done;
         }
         EntryObject *ex = (EntryObject *)item;
-        int killed = attr_true(ex->node, str_killed);
-        if (killed < 0)
-            goto fail;
-        if (killed)
+        int dead = attr_true(ex->node, str_killed);
+        if (dead < 0)
+            goto done;
+        if (dead)
             continue;
-        int dropped = -2;
-        if (live_only) {
+        int dropped = 0;
+        if (live_only || dominance) {
             dropped = attr_true(ex->node, str_dropped);
             if (dropped < 0)
-                goto fail;
-            if (dropped)
+                goto done;
+            if (live_only && dropped)
                 continue;
         }
-        if (ex->time == entry->time) {
-            int eq = PyObject_RichCompareBool(ex->qfree, entry->qfree, Py_EQ);
-            if (eq < 0)
-                goto fail;
-            if (eq) {
-                eq = PyObject_RichCompareBool(ex->gate_finish,
-                                              entry->gate_finish, Py_EQ);
-                if (eq < 0)
-                    goto fail;
-                if (eq) {
-                    PyObject *nb = compacted_bucket(survivors, bucket, i);
-                    Py_DECREF(survivors);
-                    if (nb == NULL)
-                        return NULL;
-                    return Py_BuildValue("(iNl)", 1, nb, 0L);
-                }
+        if (entry_equivalent(ex, entry)) {
+            code = 1;
+        } else if (dominance && (!dropped || closed)) {
+            int dom = entry_dominates(ex, entry);
+            if (dom > 0 && dropped) {
+                int desc = wait_descendant(node, key, ex->node);
+                dom = desc < 0 ? -1 : !desc;
             }
+            if (dom < 0)
+                goto done;
+            if (dom)
+                code = dropped ? 3 : 2;
         }
-        if (dominance) {
-            if (dropped == -2) {
-                dropped = attr_true(ex->node, str_dropped);
-                if (dropped < 0)
-                    goto fail;
-            }
-            if (!dropped) {
-                int dom = entry_dominates(ex, entry);
-                if (dom < 0)
-                    goto fail;
-                if (dom) {
-                    PyObject *nb = compacted_bucket(survivors, bucket, i);
-                    Py_DECREF(survivors);
-                    if (nb == NULL)
-                        return NULL;
-                    return Py_BuildValue("(iNl)", 2, nb, 0L);
-                }
-            }
+        if (code) {
+            if (write_back(table, key, survivors, bucket, i) < 0)
+                goto done;
+            result = admit_results[code];
+            Py_INCREF(result);
+            goto done;
         }
         if (PyList_Append(survivors, item) < 0)
-            goto fail;
+            goto done;
     }
 
-    PyObject *kept = PyList_New(0);
-    if (kept == NULL)
-        goto fail;
-    long killed_count = 0;
-    Py_ssize_t m = PyList_GET_SIZE(survivors);
-    for (Py_ssize_t j = 0; j < m; j++) {
+    kept = PyList_New(0);
+    killed = PyList_New(0);
+    if (kept == NULL || killed == NULL)
+        goto done;
+    for (Py_ssize_t j = 0; j < PyList_GET_SIZE(survivors); j++) {
         EntryObject *ex = (EntryObject *)PyList_GET_ITEM(survivors, j);
         int kill = 0;
         if (dominance) {
             int dropped = attr_true(ex->node, str_dropped);
             if (dropped < 0)
-                goto fail2;
+                goto done;
             if (!dropped) {
                 kill = entry_dominates(entry, ex);
                 if (kill < 0)
-                    goto fail2;
+                    goto done;
             }
         }
         if (kill) {
-            if (PyObject_SetAttr(ex->node, str_killed, Py_True) < 0)
-                goto fail2;
-            killed_count++;
+            if (PyObject_SetAttr(ex->node, str_killed, Py_True) < 0
+                || PyList_Append(killed, ex->node) < 0)
+                goto done;
         } else if (PyList_Append(kept, (PyObject *)ex) < 0) {
-            goto fail2;
+            goto done;
         }
     }
-    if (PyList_Append(kept, (PyObject *)entry) < 0)
-        goto fail2;
-    Py_DECREF(survivors);
-    return Py_BuildValue("(iNl)", 0, kept, killed_count);
-
-fail2:
-    Py_DECREF(kept);
-fail:
-    Py_DECREF(survivors);
-    return NULL;
+    if (PyList_Append(kept, (PyObject *)entry) < 0
+        || PyDict_SetItem(table, key, kept) < 0)
+        goto done;
+    if (PyList_GET_SIZE(killed)) {
+        PyObject *nodes = PyList_AsTuple(killed);
+        if (nodes != NULL)
+            result = Py_BuildValue("(iN)", 0, nodes);
+        goto done;
+    }
+admitted:
+    result = admit_results[0];
+    Py_INCREF(result);
+done:
+    Py_DECREF(entry);
+    Py_XDECREF(key);
+    Py_XDECREF(bucket);
+    Py_XDECREF(survivors);
+    Py_XDECREF(kept);
+    Py_XDECREF(killed);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
 /* Node expansion                                                      */
 /* ------------------------------------------------------------------ */
-
-/* Interned attribute names for SearchNode construction. */
-static PyObject *str_time, *str_pos, *str_inv, *str_ptr, *str_started;
-static PyObject *str_inflight, *str_parent, *str_actions, *str_prefix_layers;
-static PyObject *str_h, *str_f, *str_eff, *str_fkey, *str_mkey;
-static PyObject *str_profile_attr, *str_frontier, *str_tid;
-static PyObject *str_mapping_after_swaps;
-static PyObject *empty_args;
 
 static int
 set_ll(PyObject *obj, PyObject *name, long long v)
@@ -1041,23 +1418,6 @@ set_ll(PyObject *obj, PyObject *name, long long v)
     int rc = PyObject_SetAttr(obj, name, x);
     Py_DECREF(x);
     return rc;
-}
-
-static PyObject *
-tuple_from_i64(const int64_t *values, Py_ssize_t n)
-{
-    PyObject *t = PyTuple_New(n);
-    if (t == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *v = PyLong_FromLongLong(values[i]);
-        if (v == NULL) {
-            Py_DECREF(t);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(t, i, v);
-    }
-    return t;
 }
 
 static int
@@ -2047,16 +2407,12 @@ fail:
 static PyMethodDef module_methods[] = {
     {"pack_problem", pack_problem, METH_VARARGS,
      "Pack problem arrays into a capsule for the compiled kernels."},
-    {"heuristic", heuristic, METH_VARARGS,
-     "Full (non-windowed) heuristic_cost over a packed problem."},
     {"windowed", windowed, METH_VARARGS,
      "Windowed heuristic_cost over packed window rows."},
-    {"profile", profile, METH_VARARGS,
-     "State-filter release profile: (qfree tuple, gate_finish dict)."},
-    {"dominates", dominates, METH_VARARGS,
-     "Dominance check between two Entry objects."},
-    {"admit_scan", admit_scan, METH_VARARGS,
-     "Whole StateFilter.admit() bucket scan."},
+    {"score_batch", score_batch, METH_VARARGS,
+     "Memoised batch scoring: assigns node.h, returns the scanned nodes."},
+    {"admit_scan", (PyCFunction)(void (*)(void))admit_scan, METH_FASTCALL,
+     "Whole StateFilter.admit(): (code, killed nodes)."},
     {"expand", expand_node, METH_VARARGS,
      "Node expansion under an ExpansionConfig: (children, restricted)."},
     {NULL, NULL, 0, NULL},
@@ -2075,42 +2431,36 @@ PyInit__ckernels(void)
 {
     if (PyType_Ready(&Entry_Type) < 0)
         return NULL;
-    str_killed = PyUnicode_InternFromString("killed");
-    str_dropped = PyUnicode_InternFromString("dropped");
-    str_last_swaps = PyUnicode_InternFromString("last_swaps");
-    str_prev_startable = PyUnicode_InternFromString("prev_startable");
-    if (str_killed == NULL || str_dropped == NULL || str_last_swaps == NULL
-        || str_prev_startable == NULL)
-        return NULL;
-    str_time = PyUnicode_InternFromString("time");
-    str_pos = PyUnicode_InternFromString("pos");
-    str_inv = PyUnicode_InternFromString("inv");
-    str_ptr = PyUnicode_InternFromString("ptr");
-    str_started = PyUnicode_InternFromString("started");
-    str_inflight = PyUnicode_InternFromString("inflight");
-    str_parent = PyUnicode_InternFromString("parent");
-    str_actions = PyUnicode_InternFromString("actions");
-    str_prefix_layers = PyUnicode_InternFromString("prefix_layers");
-    str_h = PyUnicode_InternFromString("h");
-    str_f = PyUnicode_InternFromString("f");
-    str_eff = PyUnicode_InternFromString("_eff");
-    str_fkey = PyUnicode_InternFromString("_fkey");
-    str_mkey = PyUnicode_InternFromString("_mkey");
-    str_profile_attr = PyUnicode_InternFromString("_profile");
-    str_frontier = PyUnicode_InternFromString("_frontier");
-    str_tid = PyUnicode_InternFromString("_tid");
-    str_mapping_after_swaps = PyUnicode_InternFromString(
-        "mapping_after_swaps");
+    struct {
+        PyObject **slot;
+        const char *name;
+    } names[] = {
+        {&str_time, "time"}, {&str_pos, "pos"}, {&str_inv, "inv"},
+        {&str_ptr, "ptr"}, {&str_started, "started"},
+        {&str_inflight, "inflight"}, {&str_parent, "parent"},
+        {&str_actions, "actions"}, {&str_prefix_layers, "prefix_layers"},
+        {&str_h, "h"}, {&str_f, "f"}, {&str_eff, "_eff"},
+        {&str_fkey, "_fkey"}, {&str_mkey, "_mkey"},
+        {&str_profile_attr, "_profile"}, {&str_frontier, "_frontier"},
+        {&str_tid, "_tid"}, {&str_killed, "killed"},
+        {&str_dropped, "dropped"}, {&str_last_swaps, "last_swaps"},
+        {&str_prev_startable, "prev_startable"},
+        {&str_mapping_after_swaps, "mapping_after_swaps"},
+        {&str_filter_key, "filter_key"}, {&str_ck_packed, "_ck_packed"},
+    };
+    for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        *names[i].slot = PyUnicode_InternFromString(names[i].name);
+        if (*names[i].slot == NULL)
+            return NULL;
+    }
     empty_args = PyTuple_New(0);
-    if (str_time == NULL || str_pos == NULL || str_inv == NULL
-        || str_ptr == NULL || str_started == NULL || str_inflight == NULL
-        || str_parent == NULL || str_actions == NULL
-        || str_prefix_layers == NULL || str_h == NULL || str_f == NULL
-        || str_eff == NULL || str_fkey == NULL || str_mkey == NULL
-        || str_profile_attr == NULL || str_frontier == NULL
-        || str_tid == NULL || str_mapping_after_swaps == NULL
-        || empty_args == NULL)
+    if (empty_args == NULL)
         return NULL;
+    for (int code = 0; code < 4; code++) {
+        admit_results[code] = Py_BuildValue("(i())", code);
+        if (admit_results[code] == NULL)
+            return NULL;
+    }
     PyObject *m = PyModule_Create(&module_def);
     if (m == NULL)
         return NULL;

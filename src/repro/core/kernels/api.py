@@ -15,7 +15,14 @@ Contract (every backend, bit-for-bit):
   memo key counts as the miss and later duplicates as hits, exactly as
   the sequential evaluation order would produce.
 * ``filter_key`` / ``profile`` / ``dominates`` reproduce the state
-  filter's grouping hash, release profile, and dominance predicate.
+  filter's grouping hash, release profile, and dominance predicate (the
+  python reference scan's building blocks).
+* ``admit_scan`` (``None`` on the reference backend) is one whole
+  :meth:`~repro.core.filters.StateFilter.admit` scan with the contract
+  documented in :mod:`~repro.core.filters`: it returns the drop code and
+  the killed nodes in order, identical to the python reference scan, so
+  instrumented filters (metrics, trace) use it as well.  ``make_entry``
+  builds the entry such a scan stores, for inspection.
 * ``heappush`` / ``heappop`` order the open heap identically (all
   backends currently delegate to :mod:`heapq`, whose C implementation
   is already optimal for the tuple keys the search uses).
@@ -36,12 +43,7 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from ..expander import expand as _py_expand
-from ..heuristic import (
-    HeuristicMemo,
-    count_evaluations,
-    heuristic_cost,
-    memo_key,
-)
+from ..heuristic import HeuristicMemo, heuristic_cost
 from ..problem import MappingProblem
 from ..state import K_SWAP, SearchNode
 
@@ -115,8 +117,8 @@ def pure_dominates(better, worse) -> bool:
 class KernelBackend:
     """Base backend: the pure python reference implementations.
 
-    The compiled backend overrides :meth:`expand`, :meth:`profile`,
-    :meth:`_eval_nodes` (the batch scorer for memo-miss nodes) and the
+    The compiled backend overrides :meth:`expand`,
+    :meth:`heuristic_batch` (memo loop and scans in one C call) and the
     ``admit_scan`` / ``make_entry`` hooks the state filter consumes.
     """
 
@@ -128,9 +130,9 @@ class KernelBackend:
     heappush = staticmethod(heapq.heappush)
     heappop = staticmethod(heapq.heappop)
 
-    #: Compiled-only hooks: a fused bucket scan for StateFilter.admit()
-    #: and the matching entry constructor.  ``None`` means the filter
-    #: runs its pure python scan.
+    #: Compiled-only hooks: the whole StateFilter.admit() scan and the
+    #: constructor of the entries it stores.  ``None`` means the filter
+    #: runs its python reference scan.
     admit_scan = None
     make_entry = None
 
@@ -166,19 +168,6 @@ class KernelBackend:
 
     # -- heuristic evaluation -------------------------------------------
 
-    def _eval_nodes(
-        self,
-        problem: MappingProblem,
-        nodes: List[SearchNode],
-        window: Optional[int],
-        swap_aware: bool,
-    ) -> List[int]:
-        """Score ``nodes`` (all memo misses); pure per-node reference."""
-        return [
-            heuristic_cost(problem, node, window=window, swap_aware=swap_aware)
-            for node in nodes
-        ]
-
     def heuristic_batch(
         self,
         problem: MappingProblem,
@@ -190,48 +179,17 @@ class KernelBackend:
     ) -> None:
         """Assign ``node.h`` for every node in ``nodes``.
 
-        Bit-identical to evaluating :func:`heuristic_cost` node by node
-        in list order, including memo hit/miss totals (duplicate keys
-        within the batch count first-as-miss, rest-as-hits).
+        The reference: :func:`heuristic_cost` node by node in list
+        order.  A backend's batch scorer must match it bit for bit,
+        memo hit/miss totals included (duplicate keys within the batch
+        count first-as-miss, rest-as-hits).
         """
-        if not nodes:
-            return
-        if memo is None:
-            if metrics is not None:
-                count_evaluations(problem, nodes, window, metrics)
-            values = self._eval_nodes(problem, nodes, window, swap_aware)
-            for node, value in zip(nodes, values):
-                node.h = value
-            return
-        table = memo.table
-        miss_nodes: List[SearchNode] = []
-        miss_keys: List[Tuple] = []
-        pending: Dict[Tuple, int] = {}
-        dups: List[Tuple[SearchNode, int]] = []
-        hits = 0
         for node in nodes:
-            key = memo_key(node)
-            cached = table.get(key)
-            if cached is not None:
-                hits += 1
-                node.h = cached
-                continue
-            slot = pending.get(key)
-            if slot is None:
-                pending[key] = len(miss_nodes)
-                miss_nodes.append(node)
-                miss_keys.append(key)
-            else:
-                hits += 1
-                dups.append((node, slot))
-        memo.hits += hits
-        memo.misses += len(miss_nodes)
-        if miss_nodes:
-            if metrics is not None:
-                count_evaluations(problem, miss_nodes, window, metrics)
-            values = self._eval_nodes(problem, miss_nodes, window, swap_aware)
-            for node, key, value in zip(miss_nodes, miss_keys, values):
-                node.h = value
-                table[key] = value
-            for node, slot in dups:
-                node.h = values[slot]
+            node.h = heuristic_cost(
+                problem,
+                node,
+                window=window,
+                swap_aware=swap_aware,
+                metrics=metrics,
+                memo=memo,
+            )

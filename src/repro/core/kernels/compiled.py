@@ -11,21 +11,38 @@ capsule, cached on the problem object), and the pending-gate rows per
 ``ptr`` are packed into a reusable bytes buffer mirroring the
 ``problem.pending_rows`` cache.  Windowed evaluation (the practical
 mapper) runs the C ``windowed`` scan the same way, over the
-``problem.window_rows`` rows packed once per ``(window, ptr)``.  Node
-expansion runs the C expander for every expansion config — the exact
-mapper's optimal modes and the practical mapper's greedy mode — and
-falls back to the python reference expander only for architectures
-beyond its int64 qubit masks or its action-stack bound.
+``problem.window_rows`` rows packed once per ``(window, ptr)``.
+:meth:`CompiledBackend.heuristic_batch` runs the whole memo loop in one
+C call (memo keys, table hits, in-batch duplicates, row buffers, scans)
+and calls back into :meth:`~CompiledBackend._rows` /
+:meth:`~CompiledBackend._window_rows` only for a row buffer not packed
+yet.  ``admit_scan`` is the whole state-filter admission in one C call:
+the packed entry (``_ckernels.Entry``), the bucket lookup, the scan with
+equivalence, open and closed-entry dominance, the write-back and the
+kills.  Node expansion runs the C expander for every expansion config —
+the exact mapper's optimal modes and the practical mapper's greedy
+mode — and falls back to the python reference expander only for
+architectures beyond its int64 qubit masks or its action-stack bound.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import Dict, List, Optional
 
+from ..heuristic import HeuristicMemo, count_evaluations
 from ..problem import PROBLEM_CACHE_CAP, MappingProblem
 from ..state import SearchNode
 from .api import KernelBackend
+
+
+def _problem_cache(problem: MappingProblem, name: str) -> Dict:
+    cache = getattr(problem, name, None)
+    if cache is None:
+        cache = {}
+        setattr(problem, name, cache)
+    return cache
 
 
 class CompiledBackend(KernelBackend):
@@ -35,8 +52,12 @@ class CompiledBackend(KernelBackend):
         from . import _ckernels
 
         self._ck = _ckernels
-        self.make_entry = _ckernels.Entry
-        self.admit_scan = _ckernels.admit_scan
+        # The scan packs the problem through _packed on first use.
+        self.admit_scan = partial(_ckernels.admit_scan, self._packed)
+
+    def make_entry(self, problem: MappingProblem, node: SearchNode):
+        """The packed filter entry ``admit_scan`` stores for ``node``."""
+        return self._ck.Entry(self._packed(problem), node)
 
     def _packed(self, problem: MappingProblem):
         packed = getattr(problem, "_ck_packed", None)
@@ -62,10 +83,7 @@ class CompiledBackend(KernelBackend):
         return packed
 
     def _rows(self, problem: MappingProblem, ptr) -> bytes:
-        cache = getattr(problem, "_ck_rows", None)
-        if cache is None:
-            cache = {}
-            problem._ck_rows = cache
+        cache = _problem_cache(problem, "_ck_rows")
         buf = cache.get(ptr)
         if buf is None:
             flat = array("q")
@@ -82,10 +100,7 @@ class CompiledBackend(KernelBackend):
     def _window_rows(
         self, problem: MappingProblem, window: int, ptr
     ) -> bytes:
-        cache = getattr(problem, "_ck_window_rows", None)
-        if cache is None:
-            cache = {}
-            problem._ck_window_rows = cache
+        cache = _problem_cache(problem, "_ck_window_rows")
         key = (window, ptr)
         buf = cache.get(key)
         if buf is None:
@@ -99,41 +114,37 @@ class CompiledBackend(KernelBackend):
                 problem.note_cache_overflow("ck_window_rows")
         return buf
 
-    def _eval_nodes(
+    def heuristic_batch(
         self,
         problem: MappingProblem,
         nodes: List[SearchNode],
-        window: Optional[int],
-        swap_aware: bool,
-    ) -> List[int]:
-        packed = self._packed(problem)
+        window: Optional[int] = None,
+        swap_aware: bool = True,
+        metrics=None,
+        memo: Optional[HeuristicMemo] = None,
+    ) -> None:
+        if not nodes:
+            return
         if window is None:
-            scan = self._ck.heuristic
-            rows = self._rows
+            cache, fetch = _problem_cache(problem, "_ck_rows"), self._rows
         else:
-            scan = self._ck.windowed
-
-            def rows(problem, ptr):
-                return self._window_rows(problem, window, ptr)
-
-        out: List[int] = []
-        for node in nodes:
-            if node.inflight:
-                pos_after = node.mapping_after_swaps()[0]
-            else:
-                pos_after = node.pos
-            out.append(
-                scan(
-                    packed,
-                    rows(problem, node.ptr),
-                    node.time,
-                    node.inflight,
-                    pos_after,
-                    node.inv,
-                    swap_aware,
-                )
-            )
-        return out
+            cache = _problem_cache(problem, "_ck_window_rows")
+            fetch = self._window_rows
+        misses = self._ck.score_batch(
+            self._packed(problem),
+            problem,
+            nodes,
+            None if memo is None else memo.table,
+            cache,
+            fetch,
+            window,
+            swap_aware,
+        )
+        if memo is not None:
+            memo.hits += len(nodes) - len(misses)
+            memo.misses += len(misses)
+        if metrics is not None:
+            count_evaluations(problem, misses, window, metrics)
 
     def expand(
         self,
@@ -170,13 +181,3 @@ class CompiledBackend(KernelBackend):
                 counters.get("swaps_restricted", 0) + restricted
             )
         return children
-
-    def profile(self, problem: MappingProblem, node: SearchNode):
-        cached = node._profile
-        if cached is not None:
-            return cached
-        profile = self._ck.profile(
-            self._packed(problem), node.time, node.inflight, node.pos
-        )
-        node._profile = profile
-        return profile

@@ -84,14 +84,26 @@ def new_run_id() -> str:
 
 
 def git_sha(short: bool = False) -> str:
-    """The current checkout's commit SHA, or ``"unknown"`` outside git."""
+    """The checkout's commit SHA, or ``"unknown"`` outside git.
+
+    A ``-dirty`` suffix marks uncommitted changes to tracked files, so a
+    number measured on a modified tree is not attributed to its parent
+    commit.  Runs in the process's working directory.
+    """
     args = ["git", "rev-parse"] + (["--short"] if short else []) + ["HEAD"]
     try:
-        return subprocess.run(
+        sha = subprocess.run(
             args, capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
+        ).stdout.strip()
+        if not sha:
+            return "unknown"
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, check=True,
+        ).stdout
     except Exception:  # noqa: BLE001 - not a git checkout / no git binary
         return "unknown"
+    return sha + "-dirty" if status.strip() else sha
 
 
 def host_info() -> Dict:

@@ -9,6 +9,7 @@ extension built).
 """
 
 import copy
+import itertools
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -28,10 +29,12 @@ from repro.core.expander import (
     startable_actions,
 )
 from repro.core.expander import expand as reference_expand
+from repro.core.filters import StateFilter
 from repro.core.heuristic import (
     HeuristicMemo,
     _heuristic_cost_reference,
     heuristic_cost,
+    memo_key,
 )
 from repro.core.kernels import (
     BACKEND_NAMES,
@@ -39,9 +42,9 @@ from repro.core.kernels import (
     get_backend,
     resolve_backend,
 )
-from repro.core.kernels.api import KernelBackend
+from repro.core.kernels.api import KernelBackend, pure_profile
 from repro.core.problem import MappingProblem
-from repro.core.state import K_SWAP, SearchNode
+from repro.core.state import K_GATE, K_SWAP, SearchNode
 from repro.obs.schema import STAT_KERNEL_BACKEND
 
 from .test_heuristic import make_node
@@ -687,3 +690,459 @@ class TestStatsRecordBackend:
             lnn(3), uniform_latency(1, 3), kernel=backend_name
         ).map(circuit)
         assert result.stats[STAT_KERNEL_BACKEND] == backend_name
+
+
+# ---------------------------------------------------------------------------
+# State-filter admission, scan by scan, on the children real searches admit
+# ---------------------------------------------------------------------------
+
+
+def _scan_log(filt):
+    """Record every ``(code, killed)`` result of ``filt``'s scan."""
+    log = []
+    scan = filt._scan
+
+    def call(*args):
+        result = scan(*args)
+        log.append(result)
+        return result
+
+    filt._scan = call
+    return log
+
+
+def _ids(nodes):
+    return [id(node) for node in nodes]
+
+
+def _bucket(filt, key):
+    return _ids(entry.node for entry in filt._table.get(key, ()))
+
+
+class _TwinFilter:
+    """A pure and a compiled StateFilter fed the same admissions.
+
+    The search runs on the pure filter's answers.  Before the compiled
+    filter scans a node, the kills the pure scan made are undone, so both
+    scans see the same node flags; each admission must give the same
+    code, the same killed nodes in the same order and the same bucket.
+    """
+
+    instances = []
+
+    def __init__(self, problem, **kwargs):
+        kwargs.pop("kernel", None)
+        self.pure = StateFilter(problem, kernel=get_backend("pure"), **kwargs)
+        self.compiled = StateFilter(
+            problem, kernel=get_backend("compiled"), **kwargs
+        )
+        self.pure_log = _scan_log(self.pure)
+        self.compiled_log = _scan_log(self.compiled)
+        self.codes = set()
+        self.kills = 0
+        _TwinFilter.instances.append(self)
+
+    def __getattr__(self, name):
+        return getattr(self.pure, name)
+
+    def admit(self, node):
+        admitted = self.pure.admit(node)
+        code, killed = self.pure_log[-1]
+        for victim in killed:
+            victim.killed = False
+        assert self.compiled.admit(node) == admitted
+        assert self.compiled_log[-1][0] == code
+        assert _ids(self.compiled_log[-1][1]) == _ids(killed)
+        key = node.filter_key()
+        assert _bucket(self.compiled, key) == _bucket(self.pure, key)
+        self.codes.add(code)
+        self.kills += len(killed)
+        return admitted
+
+    def kill_above_bound(self, bound):
+        killed = self.pure.kill_above_bound(bound)
+        self.compiled.kill_above_bound(bound)
+        self._assert_tables()
+        return killed
+
+    def compact(self):
+        self.pure.compact()
+        self.compiled.compact()
+        self._assert_tables()
+
+    def release(self):
+        self.pure.release()
+        self.compiled.release()
+
+    def _assert_tables(self):
+        assert {key: _bucket(self.pure, key) for key in self.pure._table} == {
+            key: _bucket(self.compiled, key) for key in self.compiled._table
+        }
+
+
+@pytest.fixture
+def twin_filters(monkeypatch):
+    import repro.core.astar as astar_module
+    import repro.core.heuristic_mapper as heuristic_module
+
+    _TwinFilter.instances = []
+    monkeypatch.setattr(astar_module, "StateFilter", _TwinFilter)
+    monkeypatch.setattr(heuristic_module, "StateFilter", _TwinFilter)
+    return _TwinFilter.instances
+
+
+def _twin_codes(instances):
+    return set().union(*(twin.codes for twin in instances))
+
+
+#: A small circuit for the practical mapper and the batch scorer.
+_ADMIT_CIRCUIT = Circuit(4).cx(0, 1).cx(2, 3).cx(0, 2).cx(1, 3).h(0).cx(0, 3)
+
+
+def _exact_row():
+    """A Table-1 row whose exact searches reach every scan outcome."""
+    from repro.benchcircuits import wille_circuit
+
+    return wille_circuit("4mod5-v1_22"), by_name("ibmqx2")
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="C kernel not built")
+class TestAdmitParity:
+    @pytest.mark.parametrize("search_initial", [False, True])
+    @pytest.mark.parametrize("closed_dominance", [False, True])
+    def test_optimal_modes(
+        self, twin_filters, search_initial, closed_dominance
+    ):
+        circuit, arch = _exact_row()
+        OptimalMapper(
+            arch, TABLE1_LATENCY,
+            search_initial_mapping=search_initial,
+            closed_dominance=closed_dominance,
+        ).map(circuit)
+        codes = _twin_codes(twin_filters)
+        assert {0, 1, 2} <= codes
+        assert (3 in codes) == closed_dominance
+        assert sum(twin.kills for twin in twin_filters) > 0
+
+    def test_dominance_off(self, twin_filters):
+        circuit, arch = _exact_row()
+        OptimalMapper(arch, TABLE1_LATENCY, dominance=False).map(circuit)
+        exact = [twin for twin in twin_filters if not twin._dominance]
+        assert exact and _twin_codes(exact) == {0, 1}
+
+    def test_portfolio_exact_lane(self, twin_filters):
+        from repro.analysis.portfolio import PortfolioMapper
+
+        circuit, arch = _exact_row()
+        result = PortfolioMapper(
+            arch, TABLE1_LATENCY, lanes=("exact",)
+        ).map(circuit)
+        assert result.optimal
+        exact = [twin for twin in twin_filters if twin._closed_dominance]
+        assert exact and 3 in _twin_codes(exact)
+
+    def test_practical_mapper_live_only_with_compact(self, twin_filters):
+        result = HeuristicMapper(by_name("tokyo"), TABLE1_LATENCY).map(
+            large_circuit("cm82a_208", scale_gate_cap=80)
+        )
+        assert result.stats["queue_trims"] > 0
+        assert all(twin._live_only for twin in twin_filters)
+        assert {0, 1, 2} <= _twin_codes(twin_filters)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(circuit=circuits(), latency=latencies(), data=st.data())
+    def test_random_searches(self, circuit, latency, data):
+        import repro.core.astar as astar_module
+
+        closed = data.draw(st.booleans())
+        search_initial = data.draw(st.booleans())
+        original = astar_module.StateFilter
+        astar_module.StateFilter = _TwinFilter
+        try:
+            OptimalMapper(
+                lnn(circuit.num_qubits), latency,
+                search_initial_mapping=search_initial,
+                closed_dominance=closed,
+            ).map(circuit)
+        finally:
+            astar_module.StateFilter = original
+
+
+def _admit_both(make_nodes, flags, order, **kwargs):
+    """Admit ``make_nodes()`` in ``order`` into a pure and a compiled
+    filter (each on its own fresh nodes); ``flags`` maps a step to the
+    ``(attribute, value)`` set on that node before the next admission.
+    Returns the per-step ``(code, killed indices, bucket indices)``."""
+    traces = []
+    for name in ("pure", "compiled"):
+        problem, nodes = make_nodes()
+        filt = StateFilter(problem, kernel=get_backend(name), **kwargs)
+        log = _scan_log(filt)
+        index = {id(node): i for i, node in enumerate(nodes)}
+        steps = []
+        for step, i in enumerate(order):
+            filt.admit(nodes[i])
+            code, killed = log[-1]
+            steps.append((
+                code,
+                [index[id(n)] for n in killed],
+                [index[i] for i in _bucket(filt, nodes[i].filter_key())],
+            ))
+            for attr, value in flags.get(step, ()):
+                setattr(nodes[i], attr, value)
+        traces.append(steps)
+    assert traces[0] == traces[1]
+    return traces[0]
+
+
+def _spine_nodes():
+    """A closed in-flight node ``a``, its wait-child ``w1`` (same filter
+    key, still in flight), ``w1``'s wait-child ``w2``, a twin of ``w2``
+    reached from another bucket ``x`` whose parent is ``a`` itself, and
+    a twin with no parent."""
+    problem = MappingProblem(
+        Circuit(3).cx(0, 2).cx(0, 1), lnn(3), uniform_latency(1, 3)
+    )
+    mapped = (1, 0, 2)
+    a = make_node(problem, time=0, inflight=((3, K_SWAP, 0, 1),))
+    w1 = make_node(problem, time=1, inflight=((3, K_SWAP, 0, 1),))
+    w1.parent = a
+    w2 = make_node(problem, time=3, mapping=mapped)
+    w2.parent = w1
+    x = make_node(problem, time=3, mapping=mapped, ptr=[1, 0, 1])
+    x.parent = a
+    via_x = make_node(problem, time=3, mapping=mapped)
+    via_x.parent = x
+    orphan = make_node(problem, time=3, mapping=mapped)
+    for node in (w1, w2, via_x, orphan):
+        assert node.filter_key() == a.filter_key()
+    return problem, [a, w1, w2, via_x, orphan]
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="C kernel not built")
+class TestAdmitFixedCases:
+    def test_in_flight_ancestor_on_the_wait_spine(self):
+        # a and w1 are closed once admitted; w2 descends from both
+        # through waits, so neither may dominate it.
+        closed = {0: [("dropped", True)], 1: [("dropped", True)]}
+        steps = _admit_both(
+            _spine_nodes, closed, [0, 1, 2], closed_dominance=True
+        )
+        assert [code for code, _, _ in steps] == [0, 0, 0]
+        # Without the closed-entry rule w1 is still admitted (closed
+        # entries never dominate), and with w1 open it is dominated.
+        steps = _admit_both(_spine_nodes, {}, [0, 1])
+        assert steps[1][0] == 2
+
+    def test_chain_that_leaves_the_bucket(self):
+        # via_x's parent x has another key, so the walk stops there even
+        # though x descends from the closed dominator a: code 3.
+        closed = {0: [("dropped", True)]}
+        steps = _admit_both(
+            _spine_nodes, closed, [0, 3], closed_dominance=True
+        )
+        assert steps[1][0] == 3
+        steps = _admit_both(
+            _spine_nodes, closed, [0, 4], closed_dominance=True
+        )
+        assert steps[1][0] == 3
+
+    def test_differing_in_flight_gate_sets(self):
+        # Same filter key (both gates started), different gates in
+        # flight: the merge walk's unmatched branches decide.
+        def make():
+            problem = MappingProblem(
+                Circuit(4).cx(0, 1).cx(2, 3), lnn(4), uniform_latency(1, 2)
+            )
+            ptr = [1, 1, 1, 1]
+            nodes = [
+                make_node(problem, time=1, ptr=ptr, started=2,
+                          inflight=((2, K_GATE, 0, 0),)),
+                make_node(problem, time=2, ptr=ptr, started=2,
+                          inflight=((3, K_GATE, 1, 0),)),
+                make_node(problem, time=1, ptr=ptr, started=2,
+                          inflight=((3, K_GATE, 0, 0),)),
+                make_node(problem, time=1, ptr=ptr, started=2,
+                          inflight=((2, K_GATE, 1, 0), (2, K_GATE, 0, 0))),
+                make_node(problem, time=2, ptr=ptr, started=2),
+            ]
+            return problem, nodes
+
+        outcomes = set()
+        for order in itertools.permutations(range(5)):
+            steps = _admit_both(make, {}, list(order))
+            outcomes.update(code for code, _, _ in steps)
+            outcomes.update("kill" for _, killed, _ in steps if killed)
+        assert outcomes == {0, 2, "kill"}
+        compiled = get_backend("compiled")
+        problem, nodes = make()
+        for node in nodes:
+            entry = compiled.make_entry(problem, node)
+            assert (entry.qfree, entry.gate_finish) == pure_profile(
+                problem, node
+            )
+
+    def test_gate_against_swap_with_equal_release_times(self):
+        # Same key, cycle and release times; one has gate 0 in flight,
+        # the other a SWAP: not equivalent, and the SWAP node dominates.
+        def make():
+            problem = MappingProblem(
+                Circuit(3).cx(0, 1).cx(1, 2), lnn(3), uniform_latency(1, 2)
+            )
+            gate = make_node(problem, time=1, ptr=[1, 1, 0], started=1,
+                             inflight=((3, K_GATE, 0, 0),))
+            swap = make_node(problem, time=1, mapping=(1, 0, 2),
+                             ptr=[1, 1, 0], started=1,
+                             inflight=((3, K_SWAP, 0, 1),))
+            assert gate.filter_key() == swap.filter_key()
+            return problem, [gate, swap]
+
+        assert _admit_both(make, {}, [0, 1]) == [
+            (0, [], [0]), (0, [0], [1]),
+        ]
+        assert _admit_both(make, {}, [1, 0]) == [
+            (0, [], [1]), (2, [], [1]),
+        ]
+
+    def test_same_release_times_different_gates_in_flight(self):
+        # One gate and one SWAP in flight each, on swapped qubit pairs:
+        # equal key, cycle and release times, different in-flight gates.
+        def make():
+            problem = MappingProblem(
+                Circuit(4).cx(0, 1).cx(2, 3), lnn(4), uniform_latency(1, 2)
+            )
+            ptr, started = [1, 1, 1, 1], 2
+            first = make_node(problem, time=1, ptr=ptr, started=started,
+                              inflight=((3, K_GATE, 0, 0),
+                                        (3, K_SWAP, 2, 3)))
+            second = make_node(problem, time=1, mapping=(1, 0, 3, 2),
+                               ptr=ptr, started=started,
+                               inflight=((3, K_GATE, 1, 0),
+                                         (3, K_SWAP, 0, 1)))
+            assert first.filter_key() == second.filter_key()
+            return problem, [first, second]
+
+        assert _admit_both(make, {}, [0, 1]) == [
+            (0, [], [0]), (0, [], [0, 1]),
+        ]
+
+    def test_dead_entries_under_live_only(self):
+        def make():
+            problem = MappingProblem(
+                Circuit(3).cx(0, 1).cx(1, 2), lnn(3), uniform_latency(1, 3)
+            )
+            ptr = [1, 1, 0]
+            return problem, [
+                make_node(problem, time=t, ptr=ptr, started=1)
+                for t in (5, 4, 2, 2, 3)
+            ]
+
+        # 0 and 1 leave the open list; 2 is admitted over their entries,
+        # 3 is its equivalent, 4 is dominated by it.
+        dropped = {0: [("dropped", True)], 1: [("dropped", True)]}
+        steps = _admit_both(make, dropped, [0, 1, 2, 3, 4], live_only=True)
+        assert steps == [
+            (0, [], [0]), (0, [], [1]), (0, [], [2]), (1, [], [2]),
+            (2, [], [2]),
+        ]
+        # Without live_only the closed entries stay and still count.
+        steps = _admit_both(make, dropped, [0, 1, 2, 3, 4])
+        assert steps[2] == (0, [], [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# Memoised batch scoring: C memo loop against the python one
+# ---------------------------------------------------------------------------
+
+
+def _fresh(nodes):
+    """Copies with every derived-value cache cleared."""
+    copies = []
+    for node in nodes:
+        twin = copy.copy(node)
+        twin.invalidate_caches()
+        twin.h = None
+        copies.append(twin)
+    return copies
+
+
+def _batch_outcome(name, problem, nodes, window, memo, metrics=None):
+    batch = _fresh(nodes)
+    get_backend(name).heuristic_batch(
+        problem, batch, window=window, memo=memo, metrics=metrics
+    )
+    return batch
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="C kernel not built")
+class TestScoreBatchParity:
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_duplicates_hits_misses_and_memo_contents(self, window):
+        from repro.obs import MetricsRegistry
+
+        problem, nodes = _mapper_scored_nodes(
+            _ADMIT_CIRCUIT, by_name("tokyo"), TABLE1_LATENCY, 2
+        )
+        # In-batch duplicates, and a second batch re-scoring known keys.
+        batches = [nodes[:40] + nodes[:10], nodes[20:60]]
+        results = {}
+        for name in ("pure", "compiled"):
+            memo, metrics, values = HeuristicMemo(), MetricsRegistry(), []
+            for batch in batches:
+                scored = _batch_outcome(
+                    name, problem, batch, window, memo, metrics
+                )
+                values.append([node.h for node in scored])
+                assert all(
+                    node._mkey is None or node._mkey == memo_key(node)
+                    for node in scored
+                )
+            results[name] = (
+                values, memo.hits, memo.misses, list(memo.table.items()),
+                metrics.counter("heuristic.calls").value,
+            )
+        assert results["compiled"] == results["pure"]
+        assert results["pure"][1] >= 10  # the duplicates were hits
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_without_memo(self, window):
+        problem, nodes = _mapper_scored_nodes(
+            _ADMIT_CIRCUIT, by_name("tokyo"), TABLE1_LATENCY, 2
+        )
+        batch = nodes[:30] + nodes[:5]
+        want = [
+            node.h for node in _batch_outcome(
+                "pure", problem, batch, window, None
+            )
+        ]
+        got = _batch_outcome("compiled", problem, batch, window, None)
+        assert [node.h for node in got] == want
+        assert all(node._mkey is None for node in got)
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_rows_cache_overflow(self, window, monkeypatch):
+        import repro.core.kernels.compiled as compiled_module
+
+        circuit = large_circuit("cm82a_208", scale_gate_cap=40)
+        problem, nodes = _mapper_scored_nodes(
+            circuit, by_name("tokyo"), TABLE1_LATENCY, 2
+        )
+        want = [
+            node.h for node in _batch_outcome(
+                "pure", problem, nodes, window, HeuristicMemo()
+            )
+        ]
+        monkeypatch.setattr(compiled_module, "PROBLEM_CACHE_CAP", 3)
+        for name in ("_ck_rows", "_ck_window_rows"):
+            problem.__dict__.pop(name, None)
+        problem.cache_overflows.clear()
+        got = _batch_outcome(
+            "compiled", problem, nodes, window, HeuristicMemo()
+        )
+        assert [node.h for node in got] == want
+        overflow = "ck_rows" if window is None else "ck_window_rows"
+        assert problem.cache_overflows[overflow] > 0

@@ -648,3 +648,42 @@ class TestLedgerCli:
         ]) == 0
         capsys.readouterr()
         assert not (tmp_path / ".repro").exists()
+
+
+class TestGitSha:
+    """``git_sha`` marks a tree with uncommitted tracked changes."""
+
+    @staticmethod
+    def _git(*args):
+        import subprocess
+
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            check=True, capture_output=True,
+        )
+
+    def test_clean_dirty_and_outside_git(self, tmp_path, monkeypatch):
+        from repro.obs.ledger import git_sha
+
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        monkeypatch.chdir(repo)
+        self._git("init", "-q")
+        (repo / "tracked.txt").write_text("one\n")
+        self._git("add", "tracked.txt")
+        self._git("commit", "-q", "-m", "first")
+        clean = git_sha()
+        assert len(clean) == 40 and not clean.endswith("-dirty")
+        assert clean.startswith(git_sha(short=True))
+        # Untracked files leave the tree clean.
+        (repo / "scratch.txt").write_text("x\n")
+        assert git_sha() == clean
+        (repo / "tracked.txt").write_text("two\n")
+        assert git_sha() == clean + "-dirty"
+        assert git_sha(short=True).endswith("-dirty")
+
+        outside = tmp_path / "plain"
+        outside.mkdir()
+        monkeypatch.chdir(outside)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        assert git_sha() == "unknown"
